@@ -152,6 +152,45 @@ func TestRunFatMesh(t *testing.T) {
 	}
 }
 
+// TestLanesOverrideAppliesToEverySpec checks that Lanes widens the paper's
+// fat-mesh like any generated spec: the override applies after the alias
+// expands, and the fat-mesh's Ports must follow the wider plan.
+func TestLanesOverrideAppliesToEverySpec(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Topology = FatMesh2x2
+	cfg.Lanes = 3
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("3-lane fat mesh accepted with 8-port routers")
+	}
+	cfg.Ports = 10
+	spec, err := cfg.TopologySpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.String(); got != "mesh2x2l3" {
+		t.Fatalf("3-lane fat mesh resolves to %s", got)
+	}
+	s, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.net.TransitLinks()); got != 12 {
+		t.Fatalf("3-lane fat mesh has %d transit links, want 12", got)
+	}
+	for i, r := range s.net.Routers {
+		if got := r.Config().Ports; got != 10 {
+			t.Fatalf("router %d has %d ports, want 10", i, got)
+		}
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FrameIntervals == 0 {
+		t.Fatal("no frames delivered over the 3-lane fat mesh")
+	}
+}
+
 func TestRunFullCrossbar(t *testing.T) {
 	cfg := fastCfg()
 	cfg.VCs = 4

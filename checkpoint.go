@@ -102,7 +102,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		ExclusiveEndpointVCs: cfg.ExclusiveEndpointVCs,
 		Tracer:               trc,
 	}
-	spec, err := cfg.topologySpec()
+	spec, err := cfg.TopologySpec()
 	if err != nil {
 		return nil, err
 	}

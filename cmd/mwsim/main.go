@@ -33,9 +33,9 @@ import (
 
 func main() {
 	var (
-		topology  = flag.String("topology", string(mediaworm.SingleSwitch), "single-switch, fat-mesh-2x2, tetrahedral, or a generator spec like mesh4x4, torus8x8 or clos8x4x8 (suffix c<n> = endpoints per router, l<n> = lanes per channel)")
-		lanes     = flag.Int("lanes", 0, "parallel physical links per channel on generated topologies (0 = spec default)")
-		ports     = flag.Int("ports", 8, "ports per router")
+		topology  = flag.String("topology", string(mediaworm.SingleSwitch), "the paper's single-switch, fat-mesh-2x2 or tetrahedral (generator specs full1, mesh2x2l2, full4c4), or any generator spec like full4, mesh4x4, torus8x8 or clos8x4x8 (suffix c<n> = endpoints per router, l<n> = lanes per channel)")
+		lanes     = flag.Int("lanes", 0, "parallel physical links per channel on any topology (0 = spec default: 2 on fat-mesh-2x2, else 1)")
+		ports     = flag.Int("ports", 8, "ports per router (the radix of full<n> fabrics; meshes, tori and Clos size their own, and fat-mesh-2x2 must match its plan)")
 		vcs       = flag.Int("vcs", 16, "virtual channels per physical channel")
 		policy    = flag.String("policy", string(mediaworm.VirtualClock), "fifo, round-robin, virtual-clock, wrr, drr, wf2q or sp+wrr")
 		fullXbar  = flag.Bool("full-crossbar", false, "use a full (n·m × n·m) crossbar")

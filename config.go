@@ -53,26 +53,27 @@ const (
 	CBR TrafficClass = "cbr"
 )
 
-// Topology selects the network shape: one of the fixed paper topologies
-// below, or a generator spec like "mesh4x4", "torus8x8", "clos8x4x8" —
-// optionally suffixed with "c<n>" (endpoints per mesh/torus router,
-// default 4) and "l<n>" (lanes per channel) — parsed by
-// internal/topology.ParseSpec. Meshes and tori route dimension-order;
-// tori add dateline VC classes for deadlock freedom, which requires at
-// least 2 VCs in every class partition.
+// Topology selects the network shape: one of the paper's fabrics below or a
+// generator spec like "full4", "mesh4x4", "torus8x8", "clos8x4x8" —
+// optionally suffixed with "c<n>" (endpoints per router) and "l<n>" (lanes
+// per channel) — parsed by internal/topology.ParseSpec, which expands the
+// paper's names into specs too, so every fabric comes from one generator.
+// Meshes and tori route dimension-order; tori add dateline VC classes for
+// deadlock freedom, which requires at least 2 VCs in every class partition.
 type Topology string
 
 const (
 	// SingleSwitch is one n-port router with one endpoint per port
-	// (the paper's §5.1–§5.6 configuration).
+	// (the paper's §5.1–§5.6 configuration); spec "full1".
 	SingleSwitch Topology = "single-switch"
 	// FatMesh2x2 is the paper's 4-switch fat mesh: 8-port routers, four
 	// endpoints each, two parallel physical links between adjacent
-	// switches (§3.4, §5.7).
+	// switches (§3.4, §5.7); spec "mesh2x2l2".
 	FatMesh2x2 Topology = "fat-mesh-2x2"
 	// Tetrahedral is Horst's fully connected 4-switch TNet cluster, which
 	// §3.4 lists alongside fat topologies: 16 endpoints, one hop between
-	// any pair of switches.
+	// any pair of switches; spec "full4c4" on 8-port routers, the eighth
+	// port unused.
 	Tetrahedral Topology = "tetrahedral"
 )
 
@@ -82,13 +83,16 @@ const (
 type Config struct {
 	// Topology of the fabric.
 	Topology Topology
-	// Lanes overrides the generated topologies' parallel physical links per
-	// channel (0 keeps the spec's own lane count, default 1). Ignored by the
-	// fixed paper topologies.
+	// Lanes overrides the topology's parallel physical links per channel,
+	// the paper's fabrics included (0 keeps the spec's own lane count: 2
+	// for FatMesh2x2, 1 otherwise).
 	Lanes int
-	// Ports per router (8 in the paper). For FatMesh2x2 it must be 8.
-	// Generated topologies derive their port plan from the spec and ignore
-	// this.
+	// Ports per router (8 in the paper). Fully connected fabrics
+	// (SingleSwitch, Tetrahedral, "full<n>") take their routers' port count
+	// from it and fill or terminate the ports their plan leaves over; meshes,
+	// tori and Clos size their routers from the spec and ignore it, except
+	// that FatMesh2x2, the paper's fabric of Ports-port routers, requires it
+	// to match its plan (8 at two lanes).
 	Ports int
 	// VCs per physical channel and the scheduling policy at the router's
 	// multiplexers.
@@ -349,9 +353,11 @@ func (c Config) Scale(f float64) Config {
 	return c
 }
 
-// topologySpec resolves the Topology name (and Lanes override) into a
-// generator spec. Legacy names resolve to their fixed-kind specs.
-func (c *Config) topologySpec() (topology.Spec, error) {
+// TopologySpec resolves the Topology name into the generator spec the run
+// builds: the paper's names expand to their specs, the Lanes override
+// applies to every spec, and a fully connected fabric's endpoint count is
+// resolved against Ports.
+func (c *Config) TopologySpec() (topology.Spec, error) {
 	spec, err := topology.ParseSpec(string(c.Topology))
 	if err != nil {
 		return spec, fmt.Errorf("mediaworm: %w", err)
@@ -359,6 +365,7 @@ func (c *Config) topologySpec() (topology.Spec, error) {
 	if c.Lanes > 0 {
 		spec.Lanes = c.Lanes
 	}
+	spec = spec.ForRadix(c.Ports)
 	if err := spec.Validate(); err != nil {
 		return spec, fmt.Errorf("mediaworm: %w", err)
 	}
@@ -367,16 +374,20 @@ func (c *Config) topologySpec() (topology.Spec, error) {
 
 // Validate reports the first problem with the configuration.
 func (c *Config) Validate() error {
-	if _, err := c.topologySpec(); err != nil {
+	spec, err := c.TopologySpec()
+	if err != nil {
 		return err
+	}
+	if _, err := spec.Layout(c.Ports); err != nil {
+		return fmt.Errorf("mediaworm: %w", err)
 	}
 	switch {
 	case c.Lanes < 0:
 		return fmt.Errorf("mediaworm: Lanes = %d", c.Lanes)
 	case c.Ports < 2:
 		return fmt.Errorf("mediaworm: Ports = %d", c.Ports)
-	case (c.Topology == FatMesh2x2 || c.Topology == Tetrahedral) && c.Ports != 8:
-		return fmt.Errorf("mediaworm: %s needs 8-port routers", c.Topology)
+	case c.Topology == FatMesh2x2 && c.Ports != spec.Radix():
+		return fmt.Errorf("mediaworm: %s at %d lanes needs Ports = %d", c.Topology, spec.Lanes, spec.Radix())
 	case c.VCs < 1:
 		return fmt.Errorf("mediaworm: VCs = %d", c.VCs)
 	case !validPolicy(c.Policy):

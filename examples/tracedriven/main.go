@@ -30,7 +30,11 @@ const (
 
 func run(useTrace bool) (d, sd float64) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, core.Config{
+	spec, err := topology.ParseSpec("single-switch")
+	if err != nil {
+		log.Fatal(err)
+	}
+	net, err := topology.Build(eng, spec, core.Config{
 		Ports: 8, VCs: 16, RTVCs: 16,
 		BufferDepth: 20, StageDepth: 4,
 		Policy: sched.VirtualClock, Period: 80,

@@ -28,7 +28,7 @@ import "math"
 //
 //mw:hotpath Register
 func (c *Controller) Register(src, dst int) {
-	r := &c.routes[src*c.p.Nodes+dst]
+	r := &c.routes[src*c.nodes+dst]
 	for i := 0; i < int(r.n); i++ {
 		l := &c.links[r.links[i]]
 		u := float64(r.ups[i])
@@ -45,7 +45,7 @@ func (c *Controller) Register(src, dst int) {
 //
 //mw:hotpath Release
 func (c *Controller) Release(src, dst int) {
-	r := &c.routes[src*c.p.Nodes+dst]
+	r := &c.routes[src*c.nodes+dst]
 	for i := 0; i < int(r.n); i++ {
 		l := &c.links[r.links[i]]
 		u := float64(r.ups[i])
@@ -201,7 +201,7 @@ func (c *Controller) BacklogBoundBits(id int) float64 {
 //
 //mw:hotpath DelayBoundSec
 func (c *Controller) DelayBoundSec(src, dst int) float64 {
-	r := &c.routes[src*c.p.Nodes+dst]
+	r := &c.routes[src*c.nodes+dst]
 	if r.n == 0 {
 		return math.Inf(1) // src == dst: no route to price
 	}

@@ -70,7 +70,7 @@ func BalancedDelayBoundSec(p Params, load, rtShare float64) (worst, dmin float64
 // loading every injection and delivery link equally, and returns the worst
 // delay bound over the registered routes.
 func (c *Controller) registerBalanced(perNode int) (worst float64) {
-	n := c.p.Nodes
+	n := c.nodes
 	for src := 0; src < n; src++ {
 		for k := 0; k < perNode; k++ {
 			c.Register(src, (src+1+k%(n-1))%n)

@@ -9,25 +9,18 @@ import (
 	"mediaworm/internal/topology"
 )
 
-// Topology selects the fabric shape the analytic model composes routes over.
-type Topology uint8
-
-const (
-	// SingleSwitch is one router with Params.Nodes endpoint ports.
-	SingleSwitch Topology = iota
-	// FatMesh2x2 is the paper's 4-switch fat-mesh with 16 endpoints and
-	// XY routing; each fat channel (two parallel links) is modeled as one
-	// double-rate server whose per-stream rate stays capped at one link.
-	FatMesh2x2
-)
-
 // Params captures the slice of a simulator configuration the analytic model
 // needs, in plain numbers so the package stays free of the simulator.
 type Params struct {
-	Topology Topology
-	// Nodes is the endpoint count (8 for the paper's single switch, 16 for
-	// the fat-mesh).
-	Nodes int
+	// Spec is the fabric the model composes routes over, resolved against
+	// its routers' port count (topology.Spec.ForRadix): a fully connected
+	// cluster (one router is the paper's single switch) or a mesh (the
+	// paper's fat-mesh is "mesh2x2l2"). Routes follow the fabric's own
+	// fault-free routing walk, and each channel's lanes are modeled as one
+	// Lanes-times-rate server whose per-stream rate stays capped at one
+	// link. New rejects fabrics it cannot price soundly: tori (dateline
+	// routing halves the VC classes) and Clos (multipath routing).
+	Spec topology.Spec
 	// LinkBandwidthBps and FlitBits set the cycle time; MsgFlits the
 	// wormhole message size (header included).
 	LinkBandwidthBps float64
@@ -81,8 +74,7 @@ type Params struct {
 // per 33 ms VBR video workload.
 func DefaultParams() Params {
 	return Params{
-		Topology:         SingleSwitch,
-		Nodes:            8,
+		Spec:             topology.Spec{Kind: topology.KindFull, Dims: []int{1}, Concentration: 8},
 		LinkBandwidthBps: 400e6,
 		FlitBits:         32,
 		MsgFlits:         20,
@@ -107,10 +99,10 @@ func (p Params) normalized() Params {
 
 func (p Params) validate() error {
 	switch {
-	case p.Nodes < 2:
-		return fmt.Errorf("calculus: need at least 2 nodes, got %d", p.Nodes)
-	case p.Topology == FatMesh2x2 && p.Nodes != 16:
-		return fmt.Errorf("calculus: fat-mesh model needs 16 nodes, got %d", p.Nodes)
+	case p.Spec.Kind == topology.KindTorus || p.Spec.Kind == topology.KindClos:
+		return fmt.Errorf("calculus: cannot price %s soundly: the model has no dateline VC split or multipath routing", p.Spec)
+	case p.Spec.Endpoints() < 2:
+		return fmt.Errorf("calculus: %s needs at least 2 endpoints, has %d", p.Spec, p.Spec.Endpoints())
 	case p.LinkBandwidthBps <= 0 || p.FlitBits <= 0 || p.MsgFlits < 1:
 		return fmt.Errorf("calculus: invalid link/flit parameters")
 	case p.FrameBytes <= 0 || p.FrameBytesSD < 0 || p.IntervalSec <= 0:
@@ -125,8 +117,9 @@ func (p Params) validate() error {
 	return nil
 }
 
-// maxHops bounds route length: injection, X transit, Y transit, delivery.
-const maxHops = 4
+// maxHops bounds route length in links: injection, up to six router-to-
+// router channels, delivery. New rejects fabrics with longer routes.
+const maxHops = 8
 
 // routeEntry is one precomputed source→destination route: the link ids the
 // stream crosses and, per link, how many links precede it on the route (the
@@ -191,7 +184,8 @@ type Controller struct {
 	thetaDirty bool
 
 	links  []link
-	routes []routeEntry // Nodes×Nodes, row-major
+	nodes  int          // endpoint count
+	routes []routeEntry // nodes×nodes, row-major
 
 	// dmin is the uncontended end-to-end latency of one message (pipeline
 	// + serialization), the baseline for jitter estimates.
@@ -283,14 +277,27 @@ func (c *Controller) HopBudgetSec() float64 { return c.thetaSec() }
 
 // buildTopology lays out the link inventory and the route table.
 //
-// Link id space: [0, Nodes) injection links (NI → router), [Nodes, 2·Nodes)
-// delivery links (router → node), then for the fat-mesh the eight directed
-// fat channels in fmPairs order.
+// Link id space: [0, nodes) injection links (NI → router), [nodes, 2·nodes)
+// delivery links (router → node), then one server per directed
+// router-to-router channel, numbered in the fabric's transit-inventory
+// order (each link's A→B, then B→A).
 func (c *Controller) buildTopology() error {
-	n := c.p.Nodes
+	lay, err := c.p.Spec.Layout(c.p.Spec.Radix())
+	if err != nil {
+		return fmt.Errorf("calculus: %w", err)
+	}
+	n := lay.Endpoints()
+	c.nodes = n
+	routers := c.p.Spec.Routers()
+	channel := make([]int, routers*routers) // a·routers+b → link id, 0 = none
 	nLinks := 2 * n
-	if c.p.Topology == FatMesh2x2 {
-		nLinks += len(fmPairs)
+	for _, t := range lay.TransitLinks() {
+		for _, ab := range [2][2]int{{t.A, t.B}, {t.B, t.A}} {
+			if k := ab[0]*routers + ab[1]; channel[k] == 0 {
+				channel[k] = nLinks
+				nLinks++
+			}
+		}
 	}
 	c.links = make([]link, nLinks)
 	C := c.p.LinkBandwidthBps
@@ -310,18 +317,26 @@ func (c *Controller) buildTopology() error {
 		case i < 2*n: // delivery: router output to the sink
 			l.baseR = c.svc.Share * C
 			l.baseT = schedT + c.cycle
-		default: // fat channel: two parallel links, one double-rate server
-			l.baseR = c.svc.Share * 2 * C
+		default: // channel: its parallel lanes as one multi-rate server
+			l.baseR = c.svc.Share * float64(c.p.Spec.Lanes) * C
 			l.baseT = schedT + float64(core.HeaderPipelineCycles)*c.cycle
 		}
 	}
 
 	c.routes = make([]routeEntry, n*n)
+	longest := 1 // routers on the longest route
+	var path []int
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
+			path = lay.Path(src, dst, path[:0])
+			if len(path)+1 > maxHops {
+				return fmt.Errorf("calculus: %s route %d→%d crosses %d links, more than the model's %d",
+					c.p.Spec, src, dst, len(path)+1, maxHops)
+			}
+			longest = max(longest, len(path))
 			r := &c.routes[src*n+dst]
 			add := func(link int) {
 				r.links[r.n] = int32(link)
@@ -329,13 +344,8 @@ func (c *Controller) buildTopology() error {
 				r.n++
 			}
 			add(src) // injection
-			if c.p.Topology == FatMesh2x2 {
-				srcSw, _ := topology.FatMeshEndpointLocation(src)
-				dstSw, _ := topology.FatMeshEndpointLocation(dst)
-				path := topology.FatMeshSwitchPath(srcSw, dstSw)
-				for i := 1; i < len(path); i++ {
-					add(2*n + fmPairIndex(path[i-1], path[i]))
-				}
+			for i := 1; i < len(path); i++ {
+				add(channel[path[i-1]*routers+path[i]])
 			}
 			add(n + dst) // delivery
 		}
@@ -343,29 +353,9 @@ func (c *Controller) buildTopology() error {
 
 	// Uncontended latency: serialization of one message plus the header
 	// pipeline of every router on the longest route and one delivery cycle.
-	routers := 1
-	if c.p.Topology == FatMesh2x2 {
-		routers = 3 // XY worst case: source, X neighbour, destination switch
-	}
 	c.dmin = float64(c.p.MsgFlits)*c.cycle +
-		float64(routers*core.HeaderPipelineCycles)*c.cycle + c.cycle
+		float64(longest*core.HeaderPipelineCycles)*c.cycle + c.cycle
 	return nil
-}
-
-// fmPairs enumerates the directed fat channels of the 2×2 mesh in a fixed
-// order; fmPairIndex inverts it.
-var fmPairs = [8][2]int{
-	{0, 1}, {1, 0}, {2, 3}, {3, 2}, // X channels
-	{0, 2}, {2, 0}, {1, 3}, {3, 1}, // Y channels
-}
-
-func fmPairIndex(a, b int) int {
-	for i, p := range fmPairs {
-		if p[0] == a && p[1] == b {
-			return i
-		}
-	}
-	panic("calculus: switches not fat-mesh adjacent")
 }
 
 // applyBestEffort folds the standing best-effort load into the base service
@@ -378,7 +368,7 @@ func (c *Controller) applyBestEffort() {
 	if !c.svc.CrossBestEffort || c.p.BestEffortLoad == 0 {
 		return
 	}
-	n := c.p.Nodes
+	n := c.nodes
 	beC := c.p.BestEffortLoad * c.p.LinkBandwidthBps
 	msgBits := float64(c.p.MsgFlits * c.p.FlitBits)
 	rate := make([]float64, len(c.links))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mediaworm/internal/sched"
+	"mediaworm/internal/topology"
 )
 
 func mustNew(t *testing.T, p Params) *Controller {
@@ -18,8 +19,11 @@ func mustNew(t *testing.T, p Params) *Controller {
 
 func TestNewValidatesParams(t *testing.T) {
 	bad := []func(*Params){
-		func(p *Params) { p.Nodes = 1 },
-		func(p *Params) { p.Topology = FatMesh2x2; p.Nodes = 8 },
+		func(p *Params) { p.Spec = mustSpec(t, "full1c1") },
+		func(p *Params) { p.Spec = mustSpec(t, "full1") },    // unresolved: no endpoints
+		func(p *Params) { p.Spec = mustSpec(t, "torus4x4") }, // dateline-halved VC classes
+		func(p *Params) { p.Spec = mustSpec(t, "clos4x2") },  // multipath
+		func(p *Params) { p.Spec = mustSpec(t, "mesh8x2") },  // 8-router routes overflow the hop array
 		func(p *Params) { p.LinkBandwidthBps = 0 },
 		func(p *Params) { p.MsgFlits = 0 },
 		func(p *Params) { p.FrameBytes = 0 },
@@ -205,10 +209,18 @@ func TestAdmitRollbackLeavesStateClean(t *testing.T) {
 	}
 }
 
+func mustSpec(t *testing.T, name string) topology.Spec {
+	t.Helper()
+	s, err := topology.ParseSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestFatMeshRoutesAndBounds(t *testing.T) {
 	p := DefaultParams()
-	p.Topology = FatMesh2x2
-	p.Nodes = 16
+	p.Spec = mustSpec(t, "fat-mesh-2x2")
 	c := mustNew(t, p)
 	if got, want := c.NumLinks(), 2*16+8; got != want {
 		t.Fatalf("fat-mesh links %d, want %d", got, want)

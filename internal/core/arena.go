@@ -12,7 +12,8 @@ import "mediaworm/internal/flit"
 // 256-router torus cache-friendly. See DESIGN.md §18.
 //
 // An arena is single-goroutine, like the routers it backs. Carving is
-// construction-time only; the hot path never touches the arena itself.
+// construction-time only; at run time the routers keep its dead-transit-port
+// count, and fault-aware routing reads it.
 type Arena struct {
 	inv    []inVC      // backing slab; the owning routers serialize their views
 	outv   []outVC     // backing slab; the owning routers serialize their views
@@ -20,6 +21,9 @@ type Arena struct {
 	health []bool      // backing slab; the owning routers serialize their views
 	pstats []PortStats // backing slab; the owning routers serialize their views
 	reqs   []reqNode   // backing slab; request queues serialize through the owning routers
+	// deadTransit is derived from the routers' link-health flags: it is
+	// kept by Router.SetLinkUp and rebuilt as RestoreState rewrites them.
+	deadTransit int
 }
 
 // arenaShape returns the per-router slab demand for a config.
@@ -34,9 +38,10 @@ func arenaShape(cfg Config) (pv, flits, health, reqCap int) {
 }
 
 // NewArena preallocates slabs for `routers` routers of identical shape.
-// Routers built with cfg.Arena pointing here draw from the slabs; once the
-// slabs run dry further routers fall back to private allocations, so an
-// undersized arena degrades to the old layout rather than failing.
+// Routers built with cfg.Arena pointing here draw from the slabs; a router
+// built without one carves its own one-router arena. Arenas are sized up
+// front, so carving past a slab's capacity is a programming error and
+// panics.
 func NewArena(routers int, cfg Config) *Arena {
 	if routers < 1 {
 		routers = 1
@@ -52,61 +57,15 @@ func NewArena(routers int, cfg Config) *Arena {
 	}
 }
 
-// grabInv carves n input VCs, falling back to a private allocation when the
-// slab is exhausted (or the arena is nil).
-func (a *Arena) grabInv(n int) []inVC {
-	if a == nil || len(a.inv)+n > cap(a.inv) {
-		return make([]inVC, n)
-	}
-	off := len(a.inv)
-	a.inv = a.inv[:off+n]
-	return a.inv[off : off+n : off+n]
-}
+// DeadTransitPorts counts the router-to-router output ports currently down
+// across every router carved from the arena. Fault-aware routing reads it
+// to take the fault-free fast path in O(1).
+func (a *Arena) DeadTransitPorts() int { return a.deadTransit }
 
-func (a *Arena) grabOutv(n int) []outVC {
-	if a == nil || len(a.outv)+n > cap(a.outv) {
-		return make([]outVC, n)
-	}
-	off := len(a.outv)
-	a.outv = a.outv[:off+n]
-	return a.outv[off : off+n : off+n]
-}
-
-func (a *Arena) grabFlits(n int) []flit.Flit {
-	if a == nil || len(a.flits)+n > cap(a.flits) {
-		return make([]flit.Flit, n)
-	}
-	off := len(a.flits)
-	a.flits = a.flits[:off+n]
-	return a.flits[off : off+n : off+n]
-}
-
-func (a *Arena) grabHealth(n int) []bool {
-	if a == nil || len(a.health)+n > cap(a.health) {
-		return make([]bool, n)
-	}
-	off := len(a.health)
-	a.health = a.health[:off+n]
-	return a.health[off : off+n : off+n]
-}
-
-func (a *Arena) grabPortStats(n int) []PortStats {
-	if a == nil || len(a.pstats)+n > cap(a.pstats) {
-		return make([]PortStats, n)
-	}
-	off := len(a.pstats)
-	a.pstats = a.pstats[:off+n]
-	return a.pstats[off : off+n : off+n]
-}
-
-// grabReqs carves a zero-length request-node slab with capacity n; the
-// router appends nodes into it as its working set grows, recycling them
-// through its free list thereafter.
-func (a *Arena) grabReqs(n int) []reqNode {
-	if a == nil || len(a.reqs)+n > cap(a.reqs) {
-		return make([]reqNode, 0, n)
-	}
-	off := len(a.reqs)
-	a.reqs = a.reqs[:off+n]
-	return a.reqs[off : off : off+n]
+// carve takes the next n elements of a slab, capped so the caller cannot
+// grow into its neighbour's share.
+func carve[T any](slab *[]T, n int) []T {
+	off := len(*slab)
+	*slab = (*slab)[:off+n]
+	return (*slab)[off : off+n : off+n]
 }

@@ -110,9 +110,9 @@ type Config struct {
 	// VCSel, if set, narrows the output VC partition per (port, message) —
 	// see VCSelFunc. Topologies without wraparound channels leave it nil.
 	VCSel VCSelFunc
-	// Arena, if set, is the shared struct-of-arrays backing store this
-	// router carves its state from (construction-time only, not run state);
-	// nil gives the router private allocations.
+	// Arena is the shared struct-of-arrays backing store this router
+	// carves its state from (construction-time only, not run state); nil
+	// carves a one-router arena.
 	Arena *Arena
 
 	// AllocatorIterations selects the switch-allocation depth: 1 is a
@@ -332,7 +332,6 @@ type Router struct {
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, -1 = none)
 	feederCand []sched.Candidate //mw:snapcover — per-cycle scratch
 	trc        *obs.Tracer       //mw:snapcover — observability sink (nil = disabled); tracing refuses checkpoints
-	fromArena  bool              //mw:snapcover — construction-time provenance flag, no run state
 }
 
 // New builds a router. Output ports must be connected with Connect before
@@ -347,24 +346,22 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Sched.VCs == 0 {
 		cfg.Sched.VCs = cfg.VCs
 	}
+	if cfg.Arena == nil {
+		cfg.Arena = NewArena(1, cfg)
+	}
 	a := cfg.Arena
 	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, fullXb: cfg.FullCrossbar}
 	pv, _, _, reqCap := arenaShape(cfg)
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
-	invBefore := 0
-	if a != nil {
-		invBefore = len(a.inv)
-	}
-	r.inv = a.grabInv(pv)
-	r.fromArena = a != nil && len(a.inv) == invBefore+pv
-	r.outv = a.grabOutv(pv)
+	r.inv = carve(&a.inv, pv)
+	r.outv = carve(&a.outv, pv)
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
-	r.reqNodes = a.grabReqs(reqCap)
+	r.reqNodes = carve(&a.reqs, reqCap)[:0]
 	r.reqFree = -1
-	health := a.grabHealth(2 * cfg.Ports)
+	health := carve(&a.health, 2*cfg.Ports)
 	r.linkUp, r.stalled = health[:cfg.Ports:cfg.Ports], health[cfg.Ports:]
-	r.portStats = a.grabPortStats(cfg.Ports)
+	r.portStats = carve(&a.pstats, cfg.Ports)
 	r.routeBuf = make([]int, 0, cfg.Ports)
 	r.routeCand = make([]int, 0, cfg.Ports)
 	for p := range r.linkUp {
@@ -373,10 +370,10 @@ func New(cfg Config) (*Router, error) {
 	for p := 0; p < cfg.Ports; p++ {
 		for v := 0; v < cfg.VCs; v++ {
 			in := &r.inv[p*r.nvc+v]
-			in.q = ringOver(a.grabFlits(cfg.BufferDepth))
+			in.q = ringOver(carve(&a.flits, cfg.BufferDepth))
 			in.port = int16(p)
 			in.vcIdx = int16(v)
-			r.outv[p*r.nvc+v].stage = ringOver(a.grabFlits(cfg.StageDepth))
+			r.outv[p*r.nvc+v].stage = ringOver(carve(&a.flits, cfg.StageDepth))
 		}
 		r.inArbs[p] = sched.NewArbiter(cfg.Policy, cfg.Sched)
 		r.outs[p].arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
@@ -412,11 +409,6 @@ func (r *Router) ID() int { return r.cfg.ID }
 
 // Config returns the router's configuration.
 func (r *Router) Config() Config { return r.cfg }
-
-// UsesArena reports whether the router's input-VC table was carved from a
-// shared Arena (as opposed to a private fallback allocation). Fabric-scale
-// tests assert this to catch arena sizing regressions.
-func (r *Router) UsesArena() bool { return r.fromArena }
 
 // Stats returns activity counters.
 func (r *Router) Stats() Stats { return r.stats }
@@ -485,7 +477,7 @@ func (r *Router) SetLinkUp(p int, up bool) {
 	if r.linkUp[p] == up {
 		return
 	}
-	r.linkUp[p] = up
+	r.setLinkFlag(p, up)
 	if up {
 		return
 	}
@@ -534,6 +526,19 @@ func (r *Router) SetLinkUp(p int, up bool) {
 			in.headMsg.Kill()
 		}
 	}
+}
+
+// setLinkFlag records output port p's link health, keeping the arena's
+// dead-transit-port count in step for router-to-router ports.
+func (r *Router) setLinkFlag(p int, up bool) {
+	if r.linkUp[p] != up && !r.outs[p].endpoint {
+		if up {
+			r.cfg.Arena.deadTransit--
+		} else {
+			r.cfg.Arena.deadTransit++
+		}
+	}
+	r.linkUp[p] = up
 }
 
 // dropFlit accounts one reaped flit at port p.

@@ -133,7 +133,7 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 		r.portStats[p].StallCycles = rd.U64()
 	}
 	for p := range r.linkUp {
-		r.linkUp[p] = rd.Bool()
+		r.setLinkFlag(p, rd.Bool())
 		r.stalled[p] = rd.Bool()
 	}
 	for p := 0; p < len(r.outs); p++ {

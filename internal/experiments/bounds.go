@@ -12,7 +12,6 @@ import (
 	"mediaworm/internal/flit"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
-	"mediaworm/internal/topology"
 	"mediaworm/internal/traffic"
 
 	"mediaworm"
@@ -30,7 +29,8 @@ import (
 
 // BoundsPoint is one grid cell's bound-versus-observed comparison.
 type BoundsPoint struct {
-	// Fabric names the topology: "single-switch" or "fat-mesh".
+	// Fabric names the topology: "single-switch", "fat-mesh" (the paper's
+	// fat-mesh-2x2) or the Topology name of any other fabric.
 	Fabric string
 	// Load and RTShare locate the cell on the paper's grid.
 	Load, RTShare float64
@@ -121,7 +121,7 @@ func (r *BoundsReport) Fprint(w io.Writer) {
 
 // boundsCell locates one simulation of the sweep.
 type boundsCell struct {
-	fatMesh   bool
+	topology  mediaworm.Topology
 	load, mix float64
 }
 
@@ -130,12 +130,12 @@ func boundsGrid(full bool) []boundsCell {
 	if full {
 		for _, load := range Table2Loads {
 			for _, mix := range Fig5Mixes {
-				cells = append(cells, boundsCell{load: load, mix: mix})
+				cells = append(cells, boundsCell{topology: mediaworm.SingleSwitch, load: load, mix: mix})
 			}
 		}
 		for _, load := range Fig9Loads {
 			for _, mix := range Fig9Mixes {
-				cells = append(cells, boundsCell{fatMesh: true, load: load, mix: mix})
+				cells = append(cells, boundsCell{topology: mediaworm.FatMesh2x2, load: load, mix: mix})
 			}
 		}
 		return cells
@@ -144,11 +144,11 @@ func boundsGrid(full bool) []boundsCell {
 	// and pure-RT single-switch cells, a saturating pure-RT cell the model
 	// must decline, and a certifiable plus a declining fat-mesh cell.
 	return []boundsCell{
-		{load: 0.60, mix: 0.5},
-		{load: 0.60, mix: 1.0},
-		{load: 0.90, mix: 1.0},
-		{fatMesh: true, load: 0.70, mix: 0.4},
-		{fatMesh: true, load: 0.90, mix: 0.8},
+		{topology: mediaworm.SingleSwitch, load: 0.60, mix: 0.5},
+		{topology: mediaworm.SingleSwitch, load: 0.60, mix: 1.0},
+		{topology: mediaworm.SingleSwitch, load: 0.90, mix: 1.0},
+		{topology: mediaworm.FatMesh2x2, load: 0.70, mix: 0.4},
+		{topology: mediaworm.FatMesh2x2, load: 0.90, mix: 0.8},
 	}
 }
 
@@ -169,6 +169,12 @@ func BoundsSmoke(opt Options) (*BoundsReport, error) {
 
 func boundsSweep(opt Options, cells []boundsCell, notes string) (*BoundsReport, error) {
 	opt = opt.normalized()
+	// A fabric the model cannot price fails here, before any cell runs.
+	for _, c := range cells {
+		if _, err := boundsModel(opt, c); err != nil {
+			return nil, fmt.Errorf("bounds sweep on %s: %w", c.topology, err)
+		}
+	}
 	pts, err := runner.Map(context.Background(), len(cells),
 		runner.Options{Workers: opt.Parallel},
 		func(_ context.Context, i int) (BoundsPoint, error) {
@@ -186,16 +192,20 @@ func boundsSweep(opt Options, cells []boundsCell, notes string) (*BoundsReport, 
 }
 
 // CalculusParams maps a simulator configuration onto the analytic model's
-// parameters for the given operating point. Exported so CLIs and examples
-// price the exact configuration they simulate.
-func CalculusParams(cfg mediaworm.Config, fatMesh bool, load, rtShare float64, rtVCs int) (calculus.Params, error) {
+// parameters for the given operating point, pricing the fabric cfg.Topology
+// builds. Exported so CLIs and examples price the exact configuration they
+// simulate.
+func CalculusParams(cfg mediaworm.Config, load, rtShare float64, rtVCs int) (calculus.Params, error) {
 	kind, err := sched.ParseKind(string(cfg.Policy))
 	if err != nil {
 		return calculus.Params{}, err
 	}
-	p := calculus.Params{
-		Topology:         calculus.SingleSwitch,
-		Nodes:            cfg.Ports,
+	spec, err := cfg.TopologySpec()
+	if err != nil {
+		return calculus.Params{}, err
+	}
+	return calculus.Params{
+		Spec:             spec,
 		LinkBandwidthBps: cfg.LinkBandwidthBps,
 		FlitBits:         cfg.FlitBits,
 		MsgFlits:         cfg.MsgFlits,
@@ -206,29 +216,31 @@ func CalculusParams(cfg mediaworm.Config, fatMesh bool, load, rtShare float64, r
 		FrameBytesSD:     cfg.FrameBytesSD,
 		IntervalSec:      cfg.FrameInterval.Seconds(),
 		BestEffortLoad:   load * (1 - rtShare),
+	}, nil
+}
+
+// boundsConfig is the simulator configuration of one sweep cell.
+func boundsConfig(opt Options, cell boundsCell) mediaworm.Config {
+	cfg := baseConfig(opt)
+	cfg.Topology = cell.topology
+	return cfg
+}
+
+// boundsModel builds the analytic model of one sweep cell.
+func boundsModel(opt Options, cell boundsCell) (*calculus.Controller, error) {
+	cfg := boundsConfig(opt, cell)
+	params, err := CalculusParams(cfg, cell.load, cell.mix, traffic.PartitionVCs(cfg.VCs, cell.mix))
+	if err != nil {
+		return nil, err
 	}
-	if fatMesh {
-		p.Topology = calculus.FatMesh2x2
-		p.Nodes = 16
-	}
-	return p, nil
+	return calculus.New(params)
 }
 
 func runBoundsPoint(opt Options, cell boundsCell) (BoundsPoint, error) {
-	base := baseConfig(opt)
+	base := boundsConfig(opt, cell)
 	rtVCs := traffic.PartitionVCs(base.VCs, cell.mix)
 	eng := sim.NewEngine()
-	rcfg := coreConfigFrom(base, rtVCs)
-	var (
-		net *topology.Net
-		err error
-	)
-	if cell.fatMesh {
-		rcfg.Ports = 8
-		net, err = topology.FatMesh2x2(eng, rcfg)
-	} else {
-		net, err = topology.SingleSwitch(eng, rcfg)
-	}
+	net, err := buildFabric(eng, base, rtVCs)
 	if err != nil {
 		return BoundsPoint{}, err
 	}
@@ -270,11 +282,7 @@ func runBoundsPoint(opt Options, cell boundsCell) (BoundsPoint, error) {
 		return BoundsPoint{}, err
 	}
 
-	params, err := CalculusParams(base, cell.fatMesh, cell.load, cell.mix, rtVCs)
-	if err != nil {
-		return BoundsPoint{}, err
-	}
-	model, err := calculus.New(params)
+	model, err := boundsModel(opt, cell)
 	if err != nil {
 		return BoundsPoint{}, err
 	}
@@ -286,13 +294,13 @@ func runBoundsPoint(opt Options, cell boundsCell) (BoundsPoint, error) {
 
 	norm := paperIntervalMs / (base.FrameInterval.Seconds() * 1000)
 	point := BoundsPoint{
-		Fabric:  "single-switch",
+		Fabric:  string(cell.topology),
 		Load:    cell.load,
 		RTShare: cell.mix,
 		Streams: len(w.Streams),
 	}
-	if cell.fatMesh {
-		point.Fabric = "fat-mesh"
+	if cell.topology == mediaworm.FatMesh2x2 {
+		point.Fabric = "fat-mesh" // the report's established label
 	}
 	var slacks []float64
 	for _, st := range w.Streams {

@@ -123,8 +123,7 @@ func runShiftingMix(opt Options, dynamic bool) (DynPartResult, error) {
 	eng := sim.NewEngine()
 	vcs := base.VCs
 	staticRT := vcs / 2 // a 50:50 compromise split
-	rcfg := coreConfigFrom(base, staticRT)
-	net, err := topology.SingleSwitch(eng, rcfg)
+	net, err := buildFabric(eng, base, staticRT)
 	if err != nil {
 		return DynPartResult{}, err
 	}
@@ -225,6 +224,16 @@ func saturated(injected, delivered uint64) bool {
 
 // coreConfigFrom converts the public config to a router config with a given
 // partition.
+// buildFabric wires cfg.Topology from Virtual Clock routers with rtVCs
+// real-time VCs, for experiments that drive the fabric directly.
+func buildFabric(eng *sim.Engine, cfg mediaworm.Config, rtVCs int) (*topology.Net, error) {
+	spec, err := cfg.TopologySpec()
+	if err != nil {
+		return nil, err
+	}
+	return topology.Build(eng, spec, coreConfigFrom(cfg, rtVCs))
+}
+
 func coreConfigFrom(cfg mediaworm.Config, rtVCs int) core.Config {
 	return core.Config{
 		Ports:       cfg.Ports,

@@ -14,8 +14,9 @@ import (
 	"mediaworm/internal/runner"
 	"mediaworm/internal/sim"
 	"mediaworm/internal/stats"
-	"mediaworm/internal/topology"
 	"mediaworm/internal/traffic"
+
+	"mediaworm"
 )
 
 // FaultSweep studies QoS under failure on the 2×2 fat-mesh: stochastic link
@@ -87,15 +88,14 @@ func FaultSweep(opt Options) (*FaultReport, error) {
 
 func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
 	base := baseConfig(opt)
+	base.Topology = mediaworm.FatMesh2x2
 	const (
 		load    = 0.70
 		rtShare = 0.80
 	)
 	rtVCs := traffic.PartitionVCs(base.VCs, rtShare)
 	eng := sim.NewEngine()
-	rcfg := coreConfigFrom(base, rtVCs)
-	rcfg.Ports = 8
-	net, err := topology.FatMesh2x2(eng, rcfg)
+	net, err := buildFabric(eng, base, rtVCs)
 	if err != nil {
 		return FaultPoint{}, err
 	}

@@ -15,10 +15,16 @@ import (
 
 const period = 80 * sim.Nanosecond
 
-func fatMesh(t *testing.T) (*sim.Engine, *topology.Net) {
+// fabric builds the named topology from the tests' router configuration
+// through the one fabric constructor, topology.Build.
+func fabric(t *testing.T, name string) (*sim.Engine, *topology.Net) {
 	t.Helper()
+	spec, err := topology.ParseSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := sim.NewEngine()
-	net, err := topology.FatMesh2x2(eng, core.Config{
+	net, err := topology.Build(eng, spec, core.Config{
 		Ports:       8,
 		VCs:         4,
 		RTVCs:       0,
@@ -31,6 +37,11 @@ func fatMesh(t *testing.T) (*sim.Engine, *topology.Net) {
 		t.Fatal(err)
 	}
 	return eng, net
+}
+
+func fatMesh(t *testing.T) (*sim.Engine, *topology.Net) {
+	t.Helper()
+	return fabric(t, "fat-mesh-2x2")
 }
 
 // meshLink adapts a topology transit link to a fault.Link.
@@ -79,41 +90,54 @@ func injectStream(eng *sim.Engine, net *topology.Net, src, dst, count, flits int
 	}
 }
 
-// TestOutageReroutesAroundDeadLinks kills BOTH parallel X links between
-// switches 0 and 1 mid-run. The fault-aware route must send traffic the long
-// way (Y to switch 2, X to switch 3, Y to switch 1), and the retransmitter
-// must resend whatever the outage killed in flight: every message is
-// eventually delivered.
+// TestOutageReroutesAroundDeadLinks kills every lane between routers 0 and
+// 1 mid-run: BOTH parallel X links of the fat-mesh, and the single links of
+// a generated mesh and torus. The fault-aware route must send traffic the
+// long way (on the fat-mesh: Y to switch 2, X to switch 3, Y to switch 1),
+// and the retransmitter must resend whatever the outage killed in flight:
+// every message is eventually delivered.
 func TestOutageReroutesAroundDeadLinks(t *testing.T) {
-	eng, net := fatMesh(t)
-	rt := network.NewRetransmitter(net.Fabric, 500*sim.Microsecond, 8)
-	inj := fault.NewInjector(eng, net.Fabric, nil)
+	for _, tc := range []struct {
+		fabric   string
+		src, dst int // endpoints on routers 0 and 1
+	}{
+		{"fat-mesh-2x2", 0, 5},
+		{"mesh3x3c1", 0, 1},
+		{"torus4x4c1", 0, 1},
+	} {
+		t.Run(tc.fabric, func(t *testing.T) {
+			eng, net := fabric(t, tc.fabric)
+			rt := network.NewRetransmitter(net.Fabric, 500*sim.Microsecond, 8)
+			inj := fault.NewInjector(eng, net.Fabric, nil)
 
-	// 100-flit messages every 5 µs: each takes ~8 µs on the wire, so the
-	// X links are busy continuously and the outage is guaranteed to catch
-	// worms in flight.
-	const count = 40
-	injectStream(eng, net, 0, 5, count, 100, 5*sim.Microsecond) // node 0 (sw 0) → node 5 (sw 1)
-	for _, l := range linksBetween(net, 0, 1) {
-		inj.OutageAt(50*sim.Microsecond, 250*sim.Microsecond, l)
-	}
-	eng.Run(5 * sim.Millisecond)
-	eng.Drain()
+			// 100-flit messages every 5 µs: each takes ~8 µs on the wire, so
+			// the 0–1 links are busy continuously and the outage is
+			// guaranteed to catch worms in flight.
+			const count = 40
+			injectStream(eng, net, tc.src, tc.dst, count, 100, 5*sim.Microsecond)
+			dead := linksBetween(net, 0, 1)
+			for _, l := range dead {
+				inj.OutageAt(50*sim.Microsecond, 250*sim.Microsecond, l)
+			}
+			eng.Run(5 * sim.Millisecond)
+			eng.Drain()
 
-	if got := net.Sinks[5].MessagesReceived; got != count {
-		t.Errorf("delivered %d messages, want %d", got, count)
-	}
-	if rt.Abandoned != 0 {
-		t.Errorf("Abandoned = %d, want 0 (outage ends, reroute exists)", rt.Abandoned)
-	}
-	if net.Fabric.DroppedFlits() == 0 {
-		t.Error("outage dropped nothing — fault did not land")
-	}
-	if err := net.Fabric.CheckDrained(); err != nil {
-		t.Fatalf("fabric did not drain: %v", err)
-	}
-	if inj.LinkDowns != 2 || inj.LinkUps != 2 {
-		t.Errorf("LinkDowns/Ups = %d/%d, want 2/2", inj.LinkDowns, inj.LinkUps)
+			if got := net.Sinks[tc.dst].MessagesReceived; got != count {
+				t.Errorf("delivered %d messages, want %d", got, count)
+			}
+			if rt.Abandoned != 0 {
+				t.Errorf("Abandoned = %d, want 0 (outage ends, reroute exists)", rt.Abandoned)
+			}
+			if net.Fabric.DroppedFlits() == 0 {
+				t.Error("outage dropped nothing — fault did not land")
+			}
+			if err := net.Fabric.CheckDrained(); err != nil {
+				t.Fatalf("fabric did not drain: %v", err)
+			}
+			if want := uint64(len(dead)); len(dead) == 0 || inj.LinkDowns != want || inj.LinkUps != want {
+				t.Errorf("LinkDowns/Ups = %d/%d, want %d/%d", inj.LinkDowns, inj.LinkUps, want, want)
+			}
+		})
 	}
 }
 

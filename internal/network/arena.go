@@ -3,12 +3,13 @@ package network
 import "mediaworm/internal/sched"
 
 // EndpointArena is the NI/sink counterpart of core.Arena: a struct-of-arrays
-// backing store for endpoint state. A fabric builder reserves one arena for
-// all of its endpoints and AttachEndpoint carves each NI, sink, per-VC
+// backing store for endpoint state. NewFabric sizes one arena for all of the
+// fabric's endpoints and AttachEndpoint carves each NI, sink, per-VC
 // injection-queue table and arbitration scratch buffer as contiguous
 // subslices, so a thousand-endpoint torus costs four allocations instead of
-// thousands. Like core.Arena, an exhausted (or absent) arena degrades to
-// private per-endpoint allocations rather than failing. See DESIGN.md §18.
+// thousands. Like core.Arena, it is sized up front: attaching more
+// endpoints than the fabric was built for is a programming error and
+// panics. See DESIGN.md §18.
 //
 // An arena is single-goroutine, like the fabric it backs.
 type EndpointArena struct {
@@ -21,9 +22,6 @@ type EndpointArena struct {
 // NewEndpointArena preallocates slabs for `endpoints` endpoints whose
 // injection interfaces run `vcs` virtual channels each.
 func NewEndpointArena(endpoints, vcs int) *EndpointArena {
-	if endpoints < 1 {
-		endpoints = 1
-	}
 	return &EndpointArena{
 		nis:   make([]NI, 0, endpoints),
 		sinks: make([]Sink, 0, endpoints),
@@ -32,37 +30,10 @@ func NewEndpointArena(endpoints, vcs int) *EndpointArena {
 	}
 }
 
-func (a *EndpointArena) grabNI() *NI {
-	if a == nil || len(a.nis) == cap(a.nis) {
-		return &NI{}
-	}
-	a.nis = a.nis[:len(a.nis)+1]
-	return &a.nis[len(a.nis)-1]
-}
-
-func (a *EndpointArena) grabSink() *Sink {
-	if a == nil || len(a.sinks) == cap(a.sinks) {
-		return &Sink{}
-	}
-	a.sinks = a.sinks[:len(a.sinks)+1]
-	return &a.sinks[len(a.sinks)-1]
-}
-
-func (a *EndpointArena) grabVCs(n int) []niVC {
-	if a == nil || len(a.vcs)+n > cap(a.vcs) {
-		return make([]niVC, n)
-	}
-	off := len(a.vcs)
-	a.vcs = a.vcs[:off+n]
-	return a.vcs[off : off+n : off+n]
-}
-
-// grabCands carves a zero-length candidate buffer with capacity n.
-func (a *EndpointArena) grabCands(n int) []sched.Candidate {
-	if a == nil || len(a.cands)+n > cap(a.cands) {
-		return make([]sched.Candidate, 0, n)
-	}
-	off := len(a.cands)
-	a.cands = a.cands[:off+n]
-	return a.cands[off : off : off+n]
+// carve takes the next n elements of a slab, capped so the caller cannot
+// grow into its neighbour's share.
+func carve[T any](slab *[]T, n int) []T {
+	off := len(*slab)
+	*slab = (*slab)[:off+n]
+	return (*slab)[off : off+n : off+n]
 }

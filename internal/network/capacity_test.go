@@ -6,7 +6,6 @@ import (
 	"mediaworm/internal/flit"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
-	"mediaworm/internal/topology"
 	"mediaworm/internal/traffic"
 )
 
@@ -18,7 +17,7 @@ func capacityRun(t *testing.T, load, rtShare float64, spanIntervals int) (sent, 
 	vcs := 16
 	rt := traffic.PartitionVCs(vcs, rtShare)
 	cfg := baseCfg(sched.VirtualClock, vcs, rt)
-	net, err := topology.SingleSwitch(eng, cfg)
+	net, err := paperNet(eng, "single-switch", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,12 @@ import (
 	"mediaworm/internal/network"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
-	"mediaworm/internal/topology"
 )
 
 func TestDynamicPartitionTracksMix(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := baseCfg(sched.VirtualClock, 16, 8)
-	net, err := topology.SingleSwitch(eng, cfg)
+	net, err := paperNet(eng, "single-switch", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestDynamicPartitionTracksMix(t *testing.T) {
 
 func TestDynamicPartitionStopsAtDeadline(t *testing.T) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.VirtualClock, 8, 4))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.VirtualClock, 8, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestDynamicPartitionStopsAtDeadline(t *testing.T) {
 
 func TestDynamicPartitionValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.VirtualClock, 8, 4))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.VirtualClock, 8, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +95,13 @@ func TestDynamicPartitionValidation(t *testing.T) {
 	}
 	expectPanic("bad initial", func() { network.NewDynamicPartition(net.Fabric, 1, 1000, 99) })
 	expectPanic("bad interval", func() { network.NewDynamicPartition(net.Fabric, 0, 1000, 4) })
-	empty := network.NewFabric(sim.NewEngine(), 80)
+	empty := network.NewFabric(sim.NewEngine(), 80, 0, 0)
 	expectPanic("empty fabric", func() { network.NewDynamicPartition(empty, 1, 1000, 0) })
 }
 
 func TestSetRTVCsBounds(t *testing.T) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.VirtualClock, 8, 4))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.VirtualClock, 8, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

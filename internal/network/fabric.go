@@ -58,7 +58,7 @@ type Fabric struct {
 	// trc is the observability sink (nil = tracing disabled).
 	trc *obs.Tracer //mw:snapcover — tracing refuses checkpoints
 
-	// epa, if reserved, backs NI/sink state with struct-of-arrays slabs.
+	// epa backs NI/sink state with struct-of-arrays slabs.
 	epa *EndpointArena //mw:snapcover — construction-time backing store; carving happens only in AttachEndpoint
 }
 
@@ -67,12 +67,15 @@ type linkKey struct {
 	port int
 }
 
-// NewFabric creates an empty fabric with the given cycle period.
-func NewFabric(engine *sim.Engine, period sim.Time) *Fabric {
+// NewFabric creates an empty fabric with the given cycle period, with
+// struct-of-arrays endpoint slabs sized for `endpoints` endpoints whose
+// injection interfaces run `vcs` virtual channels each.
+func NewFabric(engine *sim.Engine, period sim.Time, endpoints, vcs int) *Fabric {
 	if period <= 0 {
 		panic("network: non-positive period")
 	}
-	f := &Fabric{Engine: engine, Period: period, lastTick: -1, links: make(map[linkKey]linkKey)}
+	f := &Fabric{Engine: engine, Period: period, lastTick: -1, links: make(map[linkKey]linkKey),
+		epa: NewEndpointArena(endpoints, vcs)}
 	f.tickFn = f.tick
 	return f
 }
@@ -83,19 +86,10 @@ func (f *Fabric) AddRouter(r *core.Router) {
 	f.Routers = append(f.Routers, r)
 }
 
-// ReserveEndpoints preallocates struct-of-arrays slabs for the given number
-// of endpoints (with vcs injection VCs each); subsequent AttachEndpoint
-// calls carve from the slabs instead of allocating per endpoint. Call before
-// the first AttachEndpoint; reserving is optional and over-attachment falls
-// back to private allocations.
-func (f *Fabric) ReserveEndpoints(endpoints, vcs int) {
-	f.epa = NewEndpointArena(endpoints, vcs)
-}
-
 // AttachEndpoint wires endpoint node onto router r's port p: a fresh NI
 // feeding the input side and a fresh Sink consuming the output side.
 func (f *Fabric) AttachEndpoint(r *core.Router, port, node int) (*NI, *Sink) {
-	sink := f.epa.grabSink()
+	sink := &carve(&f.epa.sinks, 1)[0]
 	sink.fab, sink.Node, sink.router, sink.port = f, node, r.ID(), port
 	r.Connect(port, sink, true)
 	ni := newNI(f, r, port, node)

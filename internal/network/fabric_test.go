@@ -14,7 +14,7 @@ import (
 func tinyNet(t *testing.T) (*sim.Engine, *topology.Net) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, core.Config{
+	net, err := paperNet(eng, "single-switch", core.Config{
 		Ports: 2, VCs: 2, RTVCs: 1,
 		BufferDepth: 20, StageDepth: 4,
 		Policy: sched.VirtualClock, Period: tPeriod,
@@ -160,5 +160,5 @@ func TestFabricRejectsBadPeriod(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	network.NewFabric(sim.NewEngine(), 0)
+	network.NewFabric(sim.NewEngine(), 0, 0, 0)
 }

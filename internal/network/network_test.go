@@ -34,6 +34,16 @@ func baseCfg(policy sched.Kind, vcs, rtVCs int) core.Config {
 	}
 }
 
+// paperNet builds one of the paper's fabrics by name through the one
+// fabric constructor, topology.Build.
+func paperNet(eng *sim.Engine, name string, cfg core.Config) (*topology.Net, error) {
+	spec, err := topology.ParseSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	return topology.Build(eng, spec, cfg)
+}
+
 type measured struct {
 	intervals *stats.IntervalTracker
 	be        *stats.BestEffort
@@ -48,9 +58,9 @@ func runMix(t *testing.T, fatMesh bool, policy sched.Kind, load, rtShare float64
 	var net *topology.Net
 	var err error
 	if fatMesh {
-		net, err = topology.FatMesh2x2(eng, cfg)
+		net, err = paperNet(eng, "fat-mesh-2x2", cfg)
 	} else {
-		net, err = topology.SingleSwitch(eng, cfg)
+		net, err = paperNet(eng, "single-switch", cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +206,7 @@ func TestSinkFrameReassembly(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := baseCfg(sched.FIFO, 4, 4)
 	cfg.Ports = 2
-	net, err := topology.SingleSwitch(eng, cfg)
+	net, err := paperNet(eng, "single-switch", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +246,7 @@ func TestSinkFrameReassembly(t *testing.T) {
 func TestWorkConservation(t *testing.T) {
 	// Every injected flit must be sunk exactly once.
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.VirtualClock, 8, 8))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.VirtualClock, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +280,7 @@ func TestWorkConservation(t *testing.T) {
 
 func TestNIBacklogAndEmpty(t *testing.T) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.FIFO, 4, 4))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.FIFO, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestNIBacklogAndEmpty(t *testing.T) {
 
 func TestInjectZeroFlitMessagePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, baseCfg(sched.FIFO, 4, 4))
+	net, err := paperNet(eng, "single-switch", baseCfg(sched.FIFO, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,11 @@ func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	if cfg.VCs > maxVCs {
 		panic("network: NI supports at most 64 VCs per physical channel")
 	}
-	ni := f.epa.grabNI()
+	ni := &carve(&f.epa.nis, 1)[0]
 	ni.fab, ni.router, ni.port, ni.Node = f, r, port, node
-	ni.vcs = f.epa.grabVCs(cfg.VCs)
+	ni.vcs = carve(&f.epa.vcs, cfg.VCs)
 	ni.arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
-	ni.cands = f.epa.grabCands(cfg.VCs)
+	ni.cands = carve(&f.epa.cands, cfg.VCs)[:0]
 	return ni
 }
 

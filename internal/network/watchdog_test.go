@@ -34,7 +34,7 @@ func buildRing(t *testing.T) (*sim.Engine, *network.Fabric, []*network.NI, []*ne
 			return append(buf, 1)
 		},
 	}
-	fab := network.NewFabric(eng, cfg.Period)
+	fab := network.NewFabric(eng, cfg.Period, 4, cfg.VCs)
 	routers := make([]*core.Router, 4)
 	for i := range routers {
 		c := cfg

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mediaworm/internal/core"
@@ -11,7 +12,7 @@ import (
 
 func TestParseSpecRoundTrip(t *testing.T) {
 	cases := []string{
-		"single-switch", "fat-mesh-2x2", "tetrahedral",
+		"full1", "full4c4", "full3l2", "full1c8",
 		"mesh4x4", "mesh2x3x4", "torus8x8", "torus4x4c2",
 		"mesh4x4l2", "torus16x16l2", "torus5x3c1l3",
 		"clos8x4", "clos8x4x16", "clos4x2l2",
@@ -36,13 +37,25 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if s, err := ParseSpec("clos8x4x4"); err != nil || s.String() != "clos8x4" {
 		t.Fatalf("clos8x4x4 → %v, %v", s, err)
 	}
+	// The paper's fabrics are aliases for generator specs.
+	for alias, want := range map[string]string{
+		"single-switch": "full1", "fat-mesh-2x2": "mesh2x2l2", "tetrahedral": "full4c4",
+	} {
+		if s, err := ParseSpec(alias); err != nil || s.String() != want {
+			t.Fatalf("%s → %v, %v; want %s", alias, s, err, want)
+		}
+	}
+	// A cluster's default concentration fills the ports its lanes leave.
+	if s, _ := ParseSpec("full4"); s.ForRadix(8).Concentration != 5 || s.ForRadix(8).String() != "full4c5" {
+		t.Fatalf("full4 on 8 ports resolves to %v", s.ForRadix(8))
+	}
 }
 
 func TestParseSpecRejects(t *testing.T) {
 	for _, name := range []string{
 		"", "ring8", "mesh", "meshx", "mesh4x", "mesh4y4", "mesh1x4",
 		"torus4x4c0", "torus4x4l0", "clos8", "clos8x4x2x1", "clos8x4c2",
-		"clos1x4", "mesh4x4cx",
+		"clos1x4", "mesh4x4cx", "full", "full0", "full2x2", "full4c0",
 	} {
 		if _, err := ParseSpec(name); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", name)
@@ -50,12 +63,15 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
-// specUnderTest is the shared property-test grid: every generated kind,
-// multiple dimensionality, odd radixes, concentration and lane variants.
+// specUnderTest is the shared property-test grid: the paper's three
+// fabrics, every generated kind, multiple dimensionality, odd radixes,
+// concentration and lane variants — resolved against base()'s 8-port
+// routers.
 func specsUnderTest(t *testing.T) []Spec {
 	t.Helper()
 	var specs []Spec
 	for _, name := range []string{
+		"single-switch", "fat-mesh-2x2", "tetrahedral", "full3l2",
 		"mesh4x4", "mesh2x3x4", "mesh3x3c2l2",
 		"torus4x4", "torus5x3", "torus2x2x2c1", "torus4x4c2l2",
 		"clos4x2", "clos4x2x8", "clos3x3l2",
@@ -64,7 +80,7 @@ func specsUnderTest(t *testing.T) []Spec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, s)
+		specs = append(specs, s.ForRadix(base().Ports))
 	}
 	return specs
 }
@@ -92,9 +108,7 @@ func linkEnds(t *testing.T, net *Net) map[portID]portID {
 
 func buildSpec(t *testing.T, spec Spec) *Net {
 	t.Helper()
-	cfg := base()
-	cfg.Ports = 0 // Build sets the port plan
-	net, err := Build(sim.NewEngine(), spec, cfg)
+	net, err := Build(sim.NewEngine(), spec, base())
 	if err != nil {
 		t.Fatalf("Build(%s): %v", spec, err)
 	}
@@ -107,7 +121,7 @@ func TestGeneratedShapeAndAnalyticLinkCount(t *testing.T) {
 		if got, want := len(net.Routers), spec.Routers(); got != want {
 			t.Fatalf("%s: %d routers, want %d", spec, got, want)
 		}
-		if got, want := net.Endpoints(), spec.Endpoints(0); got != want {
+		if got, want := net.Endpoints(), spec.Endpoints(); got != want {
 			t.Fatalf("%s: %d endpoints, want %d", spec, got, want)
 		}
 		if got, want := len(net.TransitLinks()), spec.AnalyticTransitLinks(); got != want {
@@ -184,9 +198,12 @@ func localPortOfEndpoint(net *Net, spec Spec, ep int) int {
 
 // shortestHops is the analytic minimal router-to-router distance.
 func shortestHops(spec Spec, srcR, dstR int) int {
-	if spec.Kind == KindClos {
+	if spec.Kind == KindClos || spec.Kind == KindFull {
 		if srcR == dstR {
 			return 0
+		}
+		if spec.Kind == KindFull {
+			return 1
 		}
 		return 2 // leaf → spine → leaf
 	}
@@ -383,7 +400,7 @@ func TestBuildRejectsInvalidSpecs(t *testing.T) {
 	}
 }
 
-func TestBuildDelegatesLegacyKinds(t *testing.T) {
+func TestBuildPaperAliases(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		routers, endpoint int
@@ -408,13 +425,9 @@ func TestBuildDelegatesLegacyKinds(t *testing.T) {
 }
 
 func TestGeneratedEndToEnd(t *testing.T) {
-	for _, name := range []string{"mesh4x4", "torus4x4", "clos4x2", "mesh2x2l2"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := ParseSpec(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, spec := range specsUnderTest(t) {
+		spec := spec
+		t.Run(spec.String(), func(t *testing.T) {
 			eng := sim.NewEngine()
 			net, err := Build(eng, spec, base())
 			if err != nil {
@@ -442,18 +455,58 @@ func TestGeneratedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGeneratedFabricSharesArena asserts the generated routers carve from
-// one arena rather than allocating privately: every router's VC tables must
-// live inside the shared slabs.
+// TestGeneratedFabricSharesArena asserts every router of every spec under
+// test carves from its fabric's one shared arena. Arenas are sized up
+// front and carving past a slab panics, so a build that returns at all
+// proves the sizing — including the Clos's mixed leaf and spine shapes —
+// and a router carved from a full arena must panic.
 func TestGeneratedFabricSharesArena(t *testing.T) {
-	spec, err := ParseSpec("torus4x4")
-	if err != nil {
+	for _, spec := range specsUnderTest(t) {
+		buildSpec(t, spec)
+	}
+	cfg := base()
+	cfg.Route = func(_ int, msg *flit.Message, buf []int) []int { return append(buf, msg.Dst) }
+	cfg.Arena = core.NewArena(1, cfg)
+	if _, err := core.New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	net := buildSpec(t, spec)
-	for i, r := range net.Routers {
-		if !r.UsesArena() {
-			t.Fatalf("router %d allocated outside the shared arena", i)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second router carved from a one-router arena")
+		}
+	}()
+	core.New(cfg)
+}
+
+// TestLayoutPathMatchesRouting checks that Layout.Path — the walk the
+// analytic model prices — visits exactly the routers the installed routing
+// takes, hop by hop, for every endpoint pair of every spec under test.
+func TestLayoutPathMatchesRouting(t *testing.T) {
+	for _, spec := range specsUnderTest(t) {
+		lay, err := spec.Layout(base().Ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := buildSpec(t, spec)
+		ends := linkEnds(t, net)
+		eps := net.Endpoints()
+		if lay.Endpoints() != eps {
+			t.Fatalf("%s: layout has %d endpoints, fabric %d", spec, lay.Endpoints(), eps)
+		}
+		for src := 0; src < eps; src++ {
+			for dst := 0; dst < eps; dst++ {
+				msg := &flit.Message{Src: src, Dst: dst}
+				at := routerOfEndpoint(net, spec, src)
+				walked := []int{at}
+				for at != routerOfEndpoint(net, spec, dst) {
+					ports := routeOf(net, at, msg)
+					at = ends[portID{at, ports[0]}].router
+					walked = append(walked, at)
+				}
+				if got := lay.Path(src, dst, nil); !slices.Equal(got, walked) {
+					t.Fatalf("%s: Path(%d, %d) = %v, routing walks %v", spec, src, dst, got, walked)
+				}
+			}
 		}
 	}
 }

@@ -17,12 +17,28 @@ func base() core.Config {
 	}
 }
 
-func TestSingleSwitchShape(t *testing.T) {
-	eng := sim.NewEngine()
-	net, err := SingleSwitch(eng, base())
+// buildPaper builds one of the paper's fabrics by name on base() routers.
+func buildPaper(t *testing.T, name string, cfg core.Config) (*sim.Engine, *Net) {
+	t.Helper()
+	spec, err := ParseSpec(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := sim.NewEngine()
+	net, err := Build(eng, spec, cfg)
+	if err != nil {
+		t.Fatalf("Build(%s): %v", name, err)
+	}
+	return eng, net
+}
+
+// routeOf asks router r's installed routing function for msg's candidates.
+func routeOf(net *Net, r int, msg *flit.Message) []int {
+	return net.Routers[r].Config().Route(r, msg, nil)
+}
+
+func TestSingleSwitchShape(t *testing.T) {
+	_, net := buildPaper(t, "single-switch", base())
 	if len(net.Routers) != 1 {
 		t.Fatalf("routers %d", len(net.Routers))
 	}
@@ -35,59 +51,81 @@ func TestSingleSwitchShape(t *testing.T) {
 		}
 	}
 	// Routing: direct to the destination port.
-	cfg := net.Routers[0].Config()
 	for dst := 0; dst < 8; dst++ {
-		ports := cfg.Route(0, &flit.Message{Dst: dst}, nil)
+		ports := routeOf(net, 0, &flit.Message{Dst: dst})
 		if len(ports) != 1 || ports[0] != dst {
 			t.Fatalf("route to %d = %v", dst, ports)
 		}
 	}
+	// The switch takes its size from the router config.
+	small := base()
+	small.Ports = 4
+	if _, net := buildPaper(t, "single-switch", small); net.Endpoints() != 4 {
+		t.Fatalf("4-port single switch has %d endpoints", net.Endpoints())
+	}
 }
 
 func TestSingleSwitchPropagatesConfigError(t *testing.T) {
-	eng := sim.NewEngine()
+	spec, err := ParseSpec("single-switch")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := base()
 	bad.VCs = 0
-	if _, err := SingleSwitch(eng, bad); err == nil {
+	if _, err := Build(sim.NewEngine(), spec, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestFatMeshShape(t *testing.T) {
-	eng := sim.NewEngine()
-	net, err := FatMesh2x2(eng, base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, net := buildPaper(t, "fat-mesh-2x2", base())
 	if len(net.Routers) != 4 {
 		t.Fatalf("routers %d, want 4", len(net.Routers))
 	}
 	if net.Endpoints() != 16 {
 		t.Fatalf("endpoints %d, want 16", net.Endpoints())
 	}
+	// Endpoint ep sits on switch ep/4, port ep%4: that switch delivers it
+	// locally on that port.
 	for ep := 0; ep < 16; ep++ {
-		sw, port := FatMeshEndpointLocation(ep)
-		if sw != ep/4 || port != ep%4 {
-			t.Fatalf("endpoint %d at (%d,%d)", ep, sw, port)
+		if got := routeOf(net, ep/4, &flit.Message{Dst: ep}); len(got) != 1 || got[0] != ep%4 {
+			t.Fatalf("endpoint %d: switch %d delivers on %v, want [%d]", ep, ep/4, got, ep%4)
 		}
 	}
 }
 
-func TestFatMeshRejectsWrongPorts(t *testing.T) {
-	eng := sim.NewEngine()
-	bad := base()
-	bad.Ports = 6
-	if _, err := FatMesh2x2(eng, bad); err == nil {
-		t.Fatal("6-port fat mesh accepted")
-	}
-	zero := base()
-	zero.Ports = 0 // defaulted to 8
-	if _, err := FatMesh2x2(eng, zero); err != nil {
-		t.Fatalf("zero ports should default to 8: %v", err)
+// TestFatMeshPortPlan checks that mesh2x2l2 lays out exactly the paper's
+// fat-mesh port plan whatever port count the router config carries: 8-port
+// routers, endpoints on 0–3, the X lanes on 4–5, the Y lanes on 6–7, with
+// the links wired X first, (0,1) and (2,3), then Y, (0,2) and (1,3).
+func TestFatMeshPortPlan(t *testing.T) {
+	for _, ports := range []int{0, 6, 8} {
+		cfg := base()
+		cfg.Ports = ports
+		_, net := buildPaper(t, "fat-mesh-2x2", cfg)
+		for i, r := range net.Routers {
+			if got := r.Config().Ports; got != 8 {
+				t.Fatalf("Ports %d: router %d has %d ports, want 8", ports, i, got)
+			}
+		}
+		want := []TransitLink{
+			{0, 1, 4, 4}, {0, 1, 5, 5}, {2, 3, 4, 4}, {2, 3, 5, 5},
+			{0, 2, 6, 6}, {0, 2, 7, 7}, {1, 3, 6, 6}, {1, 3, 7, 7},
+		}
+		got := net.TransitLinks()
+		if len(got) != len(want) {
+			t.Fatalf("transit inventory %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("transit inventory %v, want %v", got, want)
+			}
+		}
 	}
 }
 
 func TestFatMeshRouting(t *testing.T) {
+	_, net := buildPaper(t, "fat-mesh-2x2", base())
 	// Switch layout: 0 (0,0), 1 (1,0), 2 (0,1), 3 (1,1).
 	cases := []struct {
 		router int
@@ -104,7 +142,7 @@ func TestFatMeshRouting(t *testing.T) {
 		{1, 4, []int{0}},     // local port 0
 	}
 	for _, c := range cases {
-		got := fatMeshRoute(c.router, &flit.Message{Dst: c.dstEp}, nil)
+		got := routeOf(net, c.router, &flit.Message{Dst: c.dstEp})
 		if len(got) != len(c.want) {
 			t.Fatalf("route(%d → ep%d) = %v, want %v", c.router, c.dstEp, got, c.want)
 		}
@@ -119,13 +157,14 @@ func TestFatMeshRouting(t *testing.T) {
 func TestFatMeshRoutingConverges(t *testing.T) {
 	// Property: following the first candidate port from any switch reaches
 	// the destination in at most two hops (XY on a 2×2 mesh).
+	_, net := buildPaper(t, "fat-mesh-2x2", base())
 	for src := 0; src < 4; src++ {
 		for ep := 0; ep < 16; ep++ {
 			at := src
 			hops := 0
 			for {
-				ports := fatMeshRoute(at, &flit.Message{Dst: ep}, nil)
-				if len(ports) == 1 && ports[0] < fmEndpoints {
+				ports := routeOf(net, at, &flit.Message{Dst: ep})
+				if len(ports) == 1 && ports[0] < 4 {
 					break // delivered
 				}
 				hops++
@@ -133,7 +172,7 @@ func TestFatMeshRoutingConverges(t *testing.T) {
 					t.Fatalf("routing loop from switch %d to endpoint %d", src, ep)
 				}
 				// Move to the neighbour the fat pair reaches.
-				if ports[0] == fmXPortA {
+				if ports[0] == 4 {
 					at = at ^ 1 // flip X
 				} else {
 					at = at ^ 2 // flip Y
@@ -146,11 +185,7 @@ func TestFatMeshRoutingConverges(t *testing.T) {
 func TestFatMeshEndToEnd(t *testing.T) {
 	// A message from endpoint 0 (switch 0) to endpoint 15 (switch 3) must
 	// traverse two fat links and arrive intact.
-	eng := sim.NewEngine()
-	net, err := FatMesh2x2(eng, base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, net := buildPaper(t, "fat-mesh-2x2", base())
 	var deliveredAt sim.Time
 	var deliveredTo int
 	for i, s := range net.Sinks {
@@ -179,46 +214,59 @@ func TestFatMeshEndToEnd(t *testing.T) {
 }
 
 func TestTetrahedralShape(t *testing.T) {
-	eng := sim.NewEngine()
-	net, err := Tetrahedral(eng, base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, net := buildPaper(t, "tetrahedral", base())
 	if len(net.Routers) != 4 || net.Endpoints() != 16 {
 		t.Fatalf("routers %d endpoints %d", len(net.Routers), net.Endpoints())
 	}
+	for i, r := range net.Routers {
+		if got := r.Config().Ports; got != 8 {
+			t.Fatalf("router %d has %d ports, want the config's 8", i, got)
+		}
+	}
+	spec, err := ParseSpec("tetrahedral")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := base()
-	bad.Ports = 6
-	if _, err := Tetrahedral(eng, bad); err == nil {
+	bad.Ports = 6 // four endpoints plus three neighbours need seven
+	if _, err := Build(sim.NewEngine(), spec, bad); err == nil {
 		t.Fatal("6-port tetrahedral accepted")
 	}
 }
 
 func TestTetraPortSymmetry(t *testing.T) {
 	// Every ordered pair maps to a transit port in [4,7); the mapping is a
-	// bijection per switch.
+	// bijection per switch, and the inventory wires it both ways.
+	_, net := buildPaper(t, "tetrahedral", base())
+	ends := linkEnds(t, net)
 	for s := 0; s < 4; s++ {
 		seen := map[int]bool{}
 		for d := 0; d < 4; d++ {
 			if d == s {
 				continue
 			}
-			p := tetraPort(s, d)
-			if p < 4 || p > 6 {
-				t.Fatalf("tetraPort(%d,%d) = %d", s, d, p)
+			ports := routeOf(net, s, &flit.Message{Dst: 4 * d})
+			if len(ports) != 1 || ports[0] < 4 || ports[0] > 6 {
+				t.Fatalf("switch %d toward %d routes %v", s, d, ports)
 			}
+			p := ports[0]
 			if seen[p] {
 				t.Fatalf("switch %d reuses port %d", s, p)
 			}
 			seen[p] = true
+			if far := ends[portID{s, p}]; far.router != d {
+				t.Fatalf("switch %d port %d reaches switch %d, want %d", s, p, far.router, d)
+			}
 		}
 	}
 }
 
 func TestTetrahedralRoutingIsOneHop(t *testing.T) {
+	_, net := buildPaper(t, "tetrahedral", base())
+	ends := linkEnds(t, net)
 	for sw := 0; sw < 4; sw++ {
 		for ep := 0; ep < 16; ep++ {
-			ports := tetraRoute(sw, &flit.Message{Dst: ep}, nil)
+			ports := routeOf(net, sw, &flit.Message{Dst: ep})
 			if len(ports) != 1 {
 				t.Fatalf("route(%d, ep%d) = %v", sw, ep, ports)
 			}
@@ -229,7 +277,7 @@ func TestTetrahedralRoutingIsOneHop(t *testing.T) {
 				continue
 			}
 			// One transit hop, then local delivery.
-			next := tetraRoute(nextTetraSwitch(sw, ports[0]), &flit.Message{Dst: ep}, nil)
+			next := routeOf(net, ends[portID{sw, ports[0]}].router, &flit.Message{Dst: ep})
 			if len(next) != 1 || next[0] != ep%4 {
 				t.Fatalf("second hop from %d to ep%d = %v", sw, ep, next)
 			}
@@ -237,27 +285,8 @@ func TestTetrahedralRoutingIsOneHop(t *testing.T) {
 	}
 }
 
-// nextTetraSwitch inverts tetraPort for the test.
-func nextTetraSwitch(s, port int) int {
-	rank := port - 4
-	for o := 0; o < 4; o++ {
-		if o == s {
-			continue
-		}
-		if rank == 0 {
-			return o
-		}
-		rank--
-	}
-	panic("bad port")
-}
-
 func TestTetrahedralEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	net, err := Tetrahedral(eng, base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, net := buildPaper(t, "tetrahedral", base())
 	delivered := map[int]int{}
 	for i, s := range net.Sinks {
 		i := i
@@ -284,11 +313,7 @@ func TestTetrahedralEndToEnd(t *testing.T) {
 
 func TestFatMeshBidirectionalLinks(t *testing.T) {
 	// Reverse direction of the previous test: 15 → 0.
-	eng := sim.NewEngine()
-	net, err := FatMesh2x2(eng, base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, net := buildPaper(t, "fat-mesh-2x2", base())
 	done := false
 	net.Sinks[0].OnMessage = func(m *flit.Message, at sim.Time) { done = true }
 	m := &flit.Message{
@@ -302,48 +327,50 @@ func TestFatMeshBidirectionalLinks(t *testing.T) {
 	}
 }
 
-func TestFatMeshSwitchPathMatchesRouting(t *testing.T) {
-	// Property: for every endpoint pair, following fatMeshRoute's first
-	// candidate hop by hop visits exactly FatMeshSwitchPath's switches.
-	portToSwitch := func(sw, port int) int {
-		switch port {
-		case fmXPortA, fmXPortB:
-			return sw ^ 1
-		case fmYPortA, fmYPortB:
-			return sw ^ 2
-		}
-		return -1 // endpoint port: delivered
+// TestLiveRouteDetoursAroundDeadLinks checks the fault-aware route every
+// multi-router fabric runs: with both X lanes between fat-mesh switches 0
+// and 1 down, switch 0 reaches switch 1 the long way (Y first), switch 1's
+// own traffic to switch 0 detours too, untouched pairs keep their route,
+// and restoring the links restores the fault-free route.
+func TestLiveRouteDetoursAroundDeadLinks(t *testing.T) {
+	_, net := buildPaper(t, "fat-mesh-2x2", base())
+	toSw1 := &flit.Message{Dst: 5}
+	if got := routeOf(net, 0, toSw1); len(got) != 2 || got[0] != 4 {
+		t.Fatalf("fault-free 0→1 = %v, want the X pair", got)
 	}
-	for src := 0; src < fmTotalNodes; src++ {
-		for dst := 0; dst < fmTotalNodes; dst++ {
-			if src == dst {
-				continue
-			}
-			srcSw, _ := FatMeshEndpointLocation(src)
-			dstSw, _ := FatMeshEndpointLocation(dst)
-			want := FatMeshSwitchPath(srcSw, dstSw)
-			var got []int
-			at := srcSw
-			for {
-				got = append(got, at)
-				ports := fatMeshRoute(at, &flit.Message{Dst: dst}, nil)
-				next := portToSwitch(at, ports[0])
-				if next < 0 {
-					break
-				}
-				at = next
-			}
-			if len(got) != len(want) {
-				t.Fatalf("path(%d→%d) = %v, want %v", src, dst, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("path(%d→%d) = %v, want %v", src, dst, got, want)
-				}
-			}
-			if got[len(got)-1] != dstSw {
-				t.Fatalf("path(%d→%d) ends at switch %d, want %d", src, dst, got[len(got)-1], dstSw)
-			}
-		}
+	for _, p := range []int{4, 5} {
+		net.Routers[0].SetLinkUp(p, false)
+		net.Routers[1].SetLinkUp(p, false)
+	}
+	if got := routeOf(net, 0, toSw1); len(got) != 2 || got[0] != 6 || got[1] != 7 {
+		t.Fatalf("0→1 with X down = %v, want the Y pair [6 7]", got)
+	}
+	if got := routeOf(net, 1, &flit.Message{Dst: 0}); len(got) != 2 || got[0] != 6 {
+		t.Fatalf("1→0 with X down = %v, want the Y pair", got)
+	}
+	if got := routeOf(net, 2, &flit.Message{Dst: 13}); len(got) != 2 || got[0] != 4 {
+		t.Fatalf("2→3 with 0–1 down = %v, want the X pair", got)
+	}
+	// One lane back: the route offers only the live lane.
+	net.Routers[0].SetLinkUp(5, true)
+	net.Routers[1].SetLinkUp(5, true)
+	if got := routeOf(net, 0, toSw1); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("0→1 with one X lane = %v, want [5]", got)
+	}
+	net.Routers[0].SetLinkUp(4, true)
+	net.Routers[1].SetLinkUp(4, true)
+	if got := routeOf(net, 0, toSw1); len(got) != 2 || got[0] != 4 {
+		t.Fatalf("restored 0→1 = %v, want the X pair", got)
+	}
+	// A fully partitioned destination has no route at all.
+	for _, p := range []int{4, 5, 6, 7} {
+		net.Routers[1].SetLinkUp(p, false)
+	}
+	for _, p := range []int{4, 5} {
+		net.Routers[0].SetLinkUp(p, false)   // 0–1 is an X channel
+		net.Routers[3].SetLinkUp(p+2, false) // 3–1 is a Y channel
+	}
+	if got := routeOf(net, 0, toSw1); len(got) != 0 {
+		t.Fatalf("route into an isolated switch = %v, want none", got)
 	}
 }

@@ -15,10 +15,20 @@ import (
 
 const period = 80 * sim.Nanosecond
 
+// paperNet builds one of the paper's fabrics by name through the one
+// fabric constructor, topology.Build.
+func paperNet(eng *sim.Engine, name string, cfg core.Config) (*topology.Net, error) {
+	spec, err := topology.ParseSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	return topology.Build(eng, spec, cfg)
+}
+
 func testNet(t *testing.T, ports, vcs, rtVCs int) (*sim.Engine, *topology.Net) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net, err := topology.SingleSwitch(eng, core.Config{
+	net, err := paperNet(eng, "single-switch", core.Config{
 		Ports: ports, VCs: vcs, RTVCs: rtVCs,
 		BufferDepth: 20, StageDepth: 4,
 		Policy: sched.VirtualClock, Period: period,
