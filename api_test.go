@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"mediaworm/internal/sched"
 )
 
 // fastCfg returns a heavily scaled config for quick API tests.
@@ -305,6 +307,37 @@ func TestRunGoPModel(t *testing.T) {
 	if res.StdDevDeliveryIntervalMs <= normal.StdDevDeliveryIntervalMs {
 		t.Fatalf("GoP σd %.4f not above normal %.4f",
 			res.StdDevDeliveryIntervalMs, normal.StdDevDeliveryIntervalMs)
+	}
+}
+
+// TestValidatePolicyNames pins the policy-name resolver: every discipline's
+// canonical spelling is a policy name, and sched.ParseKind's aliases are
+// not, with the same error texts for Policy and SourcePolicy as ever.
+func TestValidatePolicyNames(t *testing.T) {
+	for _, k := range sched.Kinds() {
+		cfg := DefaultConfig()
+		cfg.Policy, cfg.SourcePolicy = Policy(k.String()), Policy(k.String())
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if got, ok := schedKind(cfg.Policy); !ok || got != k {
+			t.Fatalf("schedKind(%q) = %v, %v", cfg.Policy, got, ok)
+		}
+	}
+	for _, alias := range []Policy{"rr", "vc", "virtualclock", "FIFO", "wf2q+", "wfq", "sp-wrr", "spwrr", " fifo", ""} {
+		cfg := DefaultConfig()
+		cfg.Policy = alias
+		if err := cfg.Validate(); err == nil || err.Error() != `mediaworm: unknown policy "`+string(alias)+`"` {
+			t.Fatalf("Policy %q: %v", alias, err)
+		}
+		if alias == "" {
+			continue // an empty SourcePolicy means "follow Policy"
+		}
+		cfg = DefaultConfig()
+		cfg.SourcePolicy = alias
+		if err := cfg.Validate(); err == nil || err.Error() != `mediaworm: unknown source policy "`+string(alias)+`"` {
+			t.Fatalf("SourcePolicy %q: %v", alias, err)
+		}
 	}
 }
 

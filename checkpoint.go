@@ -69,10 +69,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kind, err := schedKind(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
+	kind, _ := schedKind(cfg.Policy) // Validate accepted the name
 	class, err := flitClass(cfg.Class)
 	if err != nil {
 		return nil, err
@@ -112,10 +109,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	}
 	net.Fabric.SetTracer(trc)
 	if cfg.SourcePolicy != "" && cfg.SourcePolicy != cfg.Policy {
-		srcKind, err := schedKind(cfg.SourcePolicy)
-		if err != nil {
-			return nil, err
-		}
+		srcKind, _ := schedKind(cfg.SourcePolicy) // Validate accepted the name
 		for _, ni := range net.NIs {
 			ni.SetPolicyParams(srcKind, rcfg.Sched)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mediaworm/internal/sched"
 	"mediaworm/internal/topology"
 )
 
@@ -33,13 +34,12 @@ const (
 	SPWRR Policy = "sp+wrr"
 )
 
-// validPolicy reports whether p names a known scheduling discipline.
-func validPolicy(p Policy) bool {
-	switch p {
-	case FIFO, RoundRobin, VirtualClock, WRR, DRR, WF2Q, SPWRR:
-		return true
-	}
-	return false
+// schedKind resolves a policy name to its scheduling discipline. Policy
+// names are exactly the spellings sched.Kind.String returns; ParseKind's
+// aliases such as "rr", "vc" and "FIFO" are not policy names.
+func schedKind(p Policy) (sched.Kind, bool) {
+	k, err := sched.ParseKind(string(p))
+	return k, err == nil && k.String() == string(p)
 }
 
 // TrafficClass selects the real-time traffic type.
@@ -381,6 +381,8 @@ func (c *Config) Validate() error {
 	if _, err := spec.Layout(c.Ports); err != nil {
 		return fmt.Errorf("mediaworm: %w", err)
 	}
+	_, policyOK := schedKind(c.Policy)
+	_, sourceOK := schedKind(c.SourcePolicy)
 	switch {
 	case c.Lanes < 0:
 		return fmt.Errorf("mediaworm: Lanes = %d", c.Lanes)
@@ -390,7 +392,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mediaworm: %s at %d lanes needs Ports = %d", c.Topology, spec.Lanes, spec.Radix())
 	case c.VCs < 1:
 		return fmt.Errorf("mediaworm: VCs = %d", c.VCs)
-	case !validPolicy(c.Policy):
+	case !policyOK:
 		return fmt.Errorf("mediaworm: unknown policy %q", c.Policy)
 	case c.BufferDepth < 1 || c.StageDepth < 1:
 		return fmt.Errorf("mediaworm: buffer depths %d/%d", c.BufferDepth, c.StageDepth)
@@ -414,7 +416,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mediaworm: window %v/%v", c.Warmup, c.Measure)
 	case c.AllocatorIterations < 0 || c.AllocatorIterations > 2:
 		return fmt.Errorf("mediaworm: AllocatorIterations = %d", c.AllocatorIterations)
-	case c.SourcePolicy != "" && !validPolicy(c.SourcePolicy):
+	case c.SourcePolicy != "" && !sourceOK:
 		return fmt.Errorf("mediaworm: unknown source policy %q", c.SourcePolicy)
 	case c.VBRModel != "" && c.VBRModel != VBRNormal && c.VBRModel != VBRGoP:
 		return fmt.Errorf("mediaworm: unknown VBR model %q", c.VBRModel)

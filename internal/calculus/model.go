@@ -173,9 +173,10 @@ type Controller struct {
 	// relative to FIFO order within the real-time class. Zero for FIFO
 	// (exact FIFO within class); (MsgFlits−1) nominal Vticks for
 	// VirtualClock (stamp skew across a message, with the traffic layer's
-	// nominal-rate clock floor); one message at the per-VC fair share for
-	// RoundRobin. A link's sojourn bound charges pace worth of extra
-	// aggregate arrivals: h = T + (B + r_agg·pace)/R.
+	// nominal-rate clock floor); one rotation of the wheel, a message per
+	// VC, for RoundRobin and WRR (quantum messages per VC under DRR). A
+	// link's sojourn bound charges pace worth of extra aggregate arrivals:
+	// h = T + (B + r_agg·pace)/R.
 	pace float64
 	// theta caches the resolved per-link sojourn budget; thetaDirty marks
 	// it stale after Register/Release. Manual budgets (HopDelayBudgetSec
@@ -229,11 +230,10 @@ func New(p Params) (*Controller, error) {
 		// traffic layer floors every connection's clock at this rate.
 		nomWire := math.Ceil(p.FrameBytes*8/float64(p.FlitBits)) * hdr
 		c.pace = float64(p.MsgFlits-1) * p.IntervalSec / nomWire
-	case sched.RoundRobin:
-		c.pace = float64(p.MsgFlits*p.FlitBits) * float64(p.VCs) / p.LinkBandwidthBps
-	case sched.WRR, sched.DRR:
+	case sched.RoundRobin, sched.WRR, sched.DRR:
 		// A message can sit out one full rotation of the wheel before its
-		// VC's next turn; a DRR turn is quantum messages long.
+		// VC's next turn; a DRR turn is quantum messages long, the others
+		// one.
 		q := 1.0
 		if p.Policy == sched.DRR && p.Quantum > 1 {
 			q = float64(p.Quantum)

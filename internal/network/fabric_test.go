@@ -119,7 +119,7 @@ func TestCheckDrainedDetectsWork(t *testing.T) {
 
 func TestNIPolicyOverride(t *testing.T) {
 	eng, net := tinyNet(t)
-	net.NIs[0].SetPolicy(sched.FIFO)
+	net.NIs[0].SetPolicyParams(sched.FIFO, sched.Params{})
 	// A best-effort message injected before a real-time one on different
 	// VCs: FIFO NI serves arrival order, so BE flits go first.
 	be := &flit.Message{ID: 1, Class: flit.BestEffort, MsgsInFrame: 1,

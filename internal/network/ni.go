@@ -158,14 +158,9 @@ func (n *NI) Inject(vc int, msg *flit.Message) {
 	}
 }
 
-// SetPolicy replaces the injection link's scheduling discipline (by default
-// the NI follows the router's policy). Call before traffic starts.
-func (n *NI) SetPolicy(k sched.Kind) {
-	n.SetPolicyParams(k, sched.Params{})
-}
-
-// SetPolicyParams replaces the injection link's scheduling discipline with
-// explicit weight/tier parameters. Call before traffic starts.
+// SetPolicyParams replaces the injection link's scheduling discipline (by
+// default the NI follows the router's policy) with explicit weight/tier
+// parameters. Call before traffic starts.
 func (n *NI) SetPolicyParams(k sched.Kind, p sched.Params) {
 	if p.VCs == 0 {
 		p.VCs = len(n.vcs)

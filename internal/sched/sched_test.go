@@ -101,11 +101,11 @@ func TestNewPanicsOnUnknown(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New(Kind(99))
+	NewArbiter(Kind(99), Params{})
 }
 
 func TestFIFOPicksEarliestArrival(t *testing.T) {
-	a := New(FIFO)
+	a := NewArbiter(FIFO, Params{})
 	cands := []Candidate{
 		{VC: 0, Enq: 30, Seq: 3},
 		{VC: 1, Enq: 10, Seq: 1},
@@ -117,7 +117,7 @@ func TestFIFOPicksEarliestArrival(t *testing.T) {
 }
 
 func TestFIFOTieBreaksBySeq(t *testing.T) {
-	a := New(FIFO)
+	a := NewArbiter(FIFO, Params{})
 	cands := []Candidate{
 		{VC: 0, Enq: 10, Seq: 7},
 		{VC: 1, Enq: 10, Seq: 2},
@@ -128,7 +128,7 @@ func TestFIFOTieBreaksBySeq(t *testing.T) {
 }
 
 func TestFIFOIgnoresTimestamps(t *testing.T) {
-	a := New(FIFO)
+	a := NewArbiter(FIFO, Params{})
 	cands := []Candidate{
 		{VC: 0, TS: 1, Enq: 20, Seq: 2},
 		{VC: 1, TS: sim.Forever, Enq: 10, Seq: 1},
@@ -139,7 +139,7 @@ func TestFIFOIgnoresTimestamps(t *testing.T) {
 }
 
 func TestRoundRobinCycles(t *testing.T) {
-	a := New(RoundRobin)
+	a := NewArbiter(RoundRobin, Params{})
 	cands := []Candidate{{VC: 0}, {VC: 1}, {VC: 2}}
 	var order []int
 	for i := 0; i < 6; i++ {
@@ -155,7 +155,7 @@ func TestRoundRobinCycles(t *testing.T) {
 }
 
 func TestRoundRobinSkipsAbsentVCs(t *testing.T) {
-	a := New(RoundRobin)
+	a := NewArbiter(RoundRobin, Params{})
 	_ = a.Pick([]Candidate{{VC: 0}, {VC: 1}, {VC: 2}}) // grants 0
 	// VC 1 has nothing now; next grant should go to 2, then wrap to 0.
 	if w := a.Pick([]Candidate{{VC: 0}, {VC: 2}}); w != 1 {
@@ -167,7 +167,7 @@ func TestRoundRobinSkipsAbsentVCs(t *testing.T) {
 }
 
 func TestVirtualClockPicksLowestTimestamp(t *testing.T) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	cands := []Candidate{
 		{VC: 0, TS: 300, Enq: 1, Seq: 1},
 		{VC: 1, TS: 100, Enq: 2, Seq: 2},
@@ -179,7 +179,7 @@ func TestVirtualClockPicksLowestTimestamp(t *testing.T) {
 }
 
 func TestVirtualClockRealTimeBeatsBestEffort(t *testing.T) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	cands := []Candidate{
 		{VC: 0, TS: sim.Forever, Enq: 1, Seq: 1}, // best-effort, arrived first
 		{VC: 1, TS: 1 << 40, Enq: 2, Seq: 2},     // real-time, huge but finite stamp
@@ -190,7 +190,7 @@ func TestVirtualClockRealTimeBeatsBestEffort(t *testing.T) {
 }
 
 func TestVirtualClockBestEffortFIFOAmongItself(t *testing.T) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	cands := []Candidate{
 		{VC: 0, TS: sim.Forever, Enq: 20, Seq: 2},
 		{VC: 1, TS: sim.Forever, Enq: 10, Seq: 1},
@@ -201,7 +201,7 @@ func TestVirtualClockBestEffortFIFOAmongItself(t *testing.T) {
 }
 
 func TestVirtualClockTieBreak(t *testing.T) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	cands := []Candidate{
 		{VC: 0, TS: 100, Enq: 5, Seq: 9},
 		{VC: 1, TS: 100, Enq: 5, Seq: 3},
@@ -279,7 +279,7 @@ func TestPropertyVClockMonotone(t *testing.T) {
 // proportion to their rates. We simulate perfect backlog: each service
 // removes the winner's head and stamps its next flit.
 func TestVirtualClockProportionalSharing(t *testing.T) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	var fast, slow VClock
 	// fast requests 4x the bandwidth of slow.
 	const fastTick, slowTick = 100, 400
@@ -309,14 +309,14 @@ func TestVirtualClockProportionalSharing(t *testing.T) {
 
 func TestArbiterKinds(t *testing.T) {
 	for _, k := range []Kind{FIFO, RoundRobin, VirtualClock} {
-		if New(k).Kind() != k {
+		if NewArbiter(k, Params{}).Kind() != k {
 			t.Fatalf("arbiter for %v reports wrong kind", k)
 		}
 	}
 }
 
 func BenchmarkVirtualClockPick16(b *testing.B) {
-	a := New(VirtualClock)
+	a := NewArbiter(VirtualClock, Params{})
 	cands := make([]Candidate, 16)
 	for i := range cands {
 		cands[i] = Candidate{VC: i, TS: sim.Time(1000 - i), Enq: sim.Time(i), Seq: uint64(i)}

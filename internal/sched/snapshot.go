@@ -7,11 +7,11 @@ import (
 )
 
 // Arbiter state encoding. FIFO and Virtual Clock arbiters are stateless;
-// round-robin carries its last-granted VC; the weighted zoo carries its
-// rotation, deficit, and virtual-time tag state (Params are rebuilt from
-// config, not encoded). Each encoded arbiter is tagged with its Kind so a
-// restore into a differently-configured contention point fails loudly
-// instead of silently mixing disciplines.
+// the round-robin rotation (RoundRobin, WRR, DRR) and each SP+WRR tier carry
+// their turn-holder and its remaining turn, and WF²Q+ its virtual-time tags
+// (Params are rebuilt from config, not encoded). Each encoded arbiter is
+// tagged with its Kind so a restore into a differently-configured contention
+// point fails loudly instead of silently mixing disciplines.
 
 // EncodeArbiter writes a's serializable state. Observed wrappers are
 // refused: they exist only under tracing, which is not snapshottable.
@@ -21,20 +21,9 @@ func EncodeArbiter(w *snapshot.Writer, a Arbiter) error {
 		w.U8(uint8(FIFO))
 	case *vcArbiter:
 		w.U8(uint8(VirtualClock))
-	case *rrArbiter:
-		w.U8(uint8(RoundRobin))
-		w.Int(ar.last)
-	case *wrrArbiter:
-		w.U8(uint8(WRR))
+	case *rotationArbiter:
+		w.U8(uint8(ar.kind))
 		encodeWRRState(w, &ar.s)
-	case *drrArbiter:
-		w.U8(uint8(DRR))
-		w.Int(ar.cur)
-		w.Bool(ar.turn)
-		w.Int(len(ar.deficit))
-		for _, d := range ar.deficit {
-			w.Int(d)
-		}
 	case *wf2qArbiter:
 		w.U8(uint8(WF2Q))
 		w.F64(ar.v)
@@ -45,7 +34,7 @@ func EncodeArbiter(w *snapshot.Writer, a Arbiter) error {
 			w.F64(ar.s[i])
 			w.F64(ar.f[i])
 		}
-	case *spwrrArbiter:
+	case *tieredArbiter:
 		w.U8(uint8(SPWRR))
 		w.Int(len(ar.tiers))
 		for i := range ar.tiers {
@@ -83,25 +72,8 @@ func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 	switch ar := a.(type) {
 	case *fifoArbiter, *vcArbiter:
 		// stateless
-	case *rrArbiter:
-		last := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		ar.last = last
-	case *wrrArbiter:
+	case *rotationArbiter:
 		restoreWRRState(r, &ar.s)
-	case *drrArbiter:
-		ar.cur = r.Int()
-		ar.turn = r.Bool()
-		n := r.Int()
-		if err := checkStateLen(r, "drr-deficit", n); err != nil {
-			return err
-		}
-		ar.deficit = resize(ar.deficit, n)
-		for i := range ar.deficit {
-			ar.deficit[i] = r.Int()
-		}
 	case *wf2qArbiter:
 		ar.v = r.F64()
 		ar.active[0] = r.U64()
@@ -116,7 +88,7 @@ func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 			ar.s[i] = r.F64()
 			ar.f[i] = r.F64()
 		}
-	case *spwrrArbiter:
+	case *tieredArbiter:
 		n := r.Int()
 		if err := checkStateLen(r, "spwrr-tiers", n); err != nil {
 			return err

@@ -5,15 +5,16 @@ import "math"
 // The scheduler zoo: the weighted disciplines of production QoS fabrics —
 // WRR, DRR, WF²Q+, and the hierarchical SP+WRR hybrid — parameterized by
 // Params and registered in kinds so the conformance harness runs each one
-// against the full contract battery.
+// against the full contract battery. One round-robin rotation serves
+// RoundRobin, WRR and DRR alike.
 //
 // Every Pick is a steady-state hot path: per-VC state is presized from
 // Params.VCs at construction and only grows lazily (an amortized one-time
 // allocation) when a VC id beyond the presized range first appears.
 
 // wrrState is one weighted-round-robin rotation: the VC currently holding
-// the grant and the flits left in its turn. WRR uses one instance; SP+WRR
-// keeps one per priority tier.
+// the grant and the flits left in its turn. The rotation arbiter uses one
+// instance; SP+WRR keeps one per priority tier.
 type wrrState struct {
 	cur    int // VC holding (or last to hold) the grant; -1 before the first
 	credit int // flits remaining in cur's current turn
@@ -22,8 +23,9 @@ type wrrState struct {
 // pick runs one weighted-round-robin grant over cands, considering only
 // candidates on the given tier (tier < 0 considers all). The caller
 // guarantees at least one candidate on the tier. A VC holds the grant for
-// weight consecutive flits; if it runs dry (or leaves the tier) mid-turn it
-// forfeits the remainder — the rotation is work conserving.
+// its turn (Params.turn) of consecutive flits; if it runs dry (or leaves the
+// tier) mid-turn it forfeits the remainder — the rotation is work
+// conserving.
 func (s *wrrState) pick(cands []Candidate, p *Params, tier int) int {
 	if s.credit > 0 {
 		for i, c := range cands {
@@ -52,102 +54,34 @@ func (s *wrrState) pick(cands []Candidate, p *Params, tier int) int {
 		best = wrap
 	}
 	s.cur = cands[best].VC
-	s.credit = p.weight(s.cur) - 1 // this grant spends the first credit
+	s.credit = p.turn(s.cur) - 1 // this grant spends the first credit
 	return best
 }
 
-// wrrArbiter is weighted round-robin: each VC holds the grant for
-// Params.Weights[vc] consecutive flits per rotation.
-type wrrArbiter struct {
-	p Params
-	s wrrState
+// rotationArbiter is the round-robin rotation behind three disciplines,
+// which differ only in turn length: RoundRobin grants one flit per turn, WRR
+// a VC's weight, and DRR its Quantum·weight deficit. Flits cost one unit, so
+// a DRR visit spends its deficit or forfeits the rest before the rotation
+// moves on — exactly a WRR turn at the quantum-scaled weight. kind labels
+// the arbiter for Kind and snapshots; NewArbiter shapes p per kind.
+type rotationArbiter struct {
+	kind Kind
+	p    Params
+	s    wrrState
 }
 
-func newWRR(p Params) *wrrArbiter {
-	return &wrrArbiter{p: p, s: wrrState{cur: -1}}
+func newRotation(k Kind, p Params) *rotationArbiter {
+	return &rotationArbiter{kind: k, p: p, s: wrrState{cur: -1}}
 }
 
-func (*wrrArbiter) Kind() Kind { return WRR }
+func (a *rotationArbiter) Kind() Kind { return a.kind }
 
-// Pick grants the rotation's current turn-holder while its weight credit
-// lasts, then advances to the next backlogged VC.
+// Pick grants the rotation's current turn-holder while its turn lasts, then
+// advances to the next backlogged VC.
 //
 //mw:hotpath
-func (a *wrrArbiter) Pick(cands []Candidate) int {
+func (a *rotationArbiter) Pick(cands []Candidate) int {
 	return a.s.pick(cands, &a.p, -1)
-}
-
-// drrArbiter is deficit round-robin (Shreedhar–Varghese): each round-robin
-// visit credits the VC Quantum·weight flits of deficit, the VC serves while
-// the deficit lasts, and a VC that goes idle loses its deficit.
-type drrArbiter struct {
-	p       Params
-	deficit []int
-	cur     int  // VC holding (or last to hold) the visit; -1 before the first
-	turn    bool // cur's visit is still open
-}
-
-func newDRR(p Params) *drrArbiter {
-	d := &drrArbiter{p: p, cur: -1}
-	if p.VCs > 0 {
-		d.deficit = make([]int, p.VCs)
-	}
-	return d
-}
-
-func (*drrArbiter) Kind() Kind { return DRR }
-
-// ensure grows the deficit array to cover VC id v.
-func (d *drrArbiter) ensure(v int) {
-	if v < len(d.deficit) {
-		return
-	}
-	grown := make([]int, v+1) //mw:hotpath — lazy one-time sizing to the observed VC id space; never reallocated after
-	copy(grown, d.deficit)
-	d.deficit = grown
-}
-
-// Pick continues the open visit while deficit remains, then advances the
-// round-robin to the next backlogged VC and credits it Quantum·weight.
-//
-//mw:hotpath
-func (d *drrArbiter) Pick(cands []Candidate) int {
-	if d.turn {
-		found := -1
-		for i, c := range cands {
-			if c.VC == d.cur {
-				found = i
-				break
-			}
-		}
-		if found >= 0 && d.deficit[d.cur] > 0 {
-			d.deficit[d.cur]--
-			return found
-		}
-		if found < 0 {
-			// The visit-holder went idle mid-visit: it loses its deficit.
-			d.deficit[d.cur] = 0
-		}
-		d.turn = false
-	}
-	// Fresh visit: next backlogged VC after the previous holder, wrapping.
-	best, wrap := -1, -1
-	for i, c := range cands {
-		if c.VC > d.cur && (best == -1 || c.VC < cands[best].VC) {
-			best = i
-		}
-		if wrap == -1 || c.VC < cands[wrap].VC {
-			wrap = i
-		}
-	}
-	if best == -1 {
-		best = wrap
-	}
-	v := cands[best].VC
-	d.ensure(v)
-	d.deficit[v] += d.p.quantum()*d.p.weight(v) - 1 // credit the visit; this grant spends one
-	d.cur, d.turn = v, d.deficit[v] > 0
-	return best
 }
 
 // wf2qArbiter is worst-case-fair weighted fair queueing (WF²Q+): a system
@@ -246,16 +180,16 @@ func (a *wf2qArbiter) Pick(cands []Candidate) int {
 	return best
 }
 
-// spwrrArbiter is the hierarchical strict-priority + WRR hybrid: the
+// tieredArbiter is the hierarchical strict-priority + WRR hybrid: the
 // lowest-numbered tier with a backlogged VC always wins, and an independent
 // weighted-round-robin rotation arbitrates within each tier.
-type spwrrArbiter struct {
+type tieredArbiter struct {
 	p     Params
 	tiers []wrrState
 }
 
-func newSPWRR(p Params) *spwrrArbiter {
-	a := &spwrrArbiter{p: p}
+func newSPWRR(p Params) *tieredArbiter {
+	a := &tieredArbiter{p: p}
 	maxTier := 0
 	for v := 0; v < p.VCs; v++ {
 		if t := p.tier(v); t > maxTier {
@@ -269,10 +203,10 @@ func newSPWRR(p Params) *spwrrArbiter {
 	return a
 }
 
-func (*spwrrArbiter) Kind() Kind { return SPWRR }
+func (*tieredArbiter) Kind() Kind { return SPWRR }
 
 // ensure grows the per-tier rotation state to cover tier t.
-func (a *spwrrArbiter) ensure(t int) {
+func (a *tieredArbiter) ensure(t int) {
 	if t < len(a.tiers) {
 		return
 	}
@@ -288,7 +222,7 @@ func (a *spwrrArbiter) ensure(t int) {
 // and runs that tier's WRR rotation over its members.
 //
 //mw:hotpath
-func (a *spwrrArbiter) Pick(cands []Candidate) int {
+func (a *tieredArbiter) Pick(cands []Candidate) int {
 	top := a.p.tier(cands[0].VC)
 	for _, c := range cands[1:] {
 		if t := a.p.tier(c.VC); t < top {

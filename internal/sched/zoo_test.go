@@ -50,9 +50,9 @@ func TestKindRoundTripExhaustive(t *testing.T) {
 		if got != k {
 			t.Fatalf("round-trip %v → %q → %v", k, s, got)
 		}
-		a := New(k)
+		a := NewArbiter(k, Params{})
 		if a.Kind() != k {
-			t.Fatalf("New(%v).Kind() = %v", k, a.Kind())
+			t.Fatalf("NewArbiter(%v).Kind() = %v", k, a.Kind())
 		}
 	}
 }
@@ -362,7 +362,7 @@ func TestArbiterSnapshotRoundTrip(t *testing.T) {
 func TestRestoreArbiterKindMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := snapshot.NewWriter()
-	if err := EncodeArbiter(w, New(WRR)); err != nil {
+	if err := EncodeArbiter(w, NewArbiter(WRR, Params{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(&buf); err != nil {
@@ -372,7 +372,7 @@ func TestRestoreArbiterKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RestoreArbiter(r, New(DRR)); err == nil {
+	if err := RestoreArbiter(r, NewArbiter(DRR, Params{})); err == nil {
 		t.Fatal("restoring WRR state into a DRR arbiter must fail")
 	}
 }

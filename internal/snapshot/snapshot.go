@@ -33,10 +33,11 @@ import (
 	"mediaworm/internal/sim"
 )
 
-// Version is the container version. Bump it when the framing itself (not a
-// section payload) changes shape. v2: NI sections gained policing counters
-// and an optional policer state block.
-const Version uint16 = 2
+// Version is the container version. Bump it when the framing itself or a
+// section payload changes shape. v2: NI sections gained policing counters
+// and an optional policer state block. v3: RoundRobin and DRR arbiter
+// payloads became the shared rotation's turn-holder and remaining turn.
+const Version uint16 = 3
 
 // magic identifies a MediaWorm snapshot. The trailing \x00\x01 keeps text
 // tools from mistaking the file for ASCII.

@@ -32,26 +32,6 @@ import (
 	"mediaworm/internal/stats"
 )
 
-func schedKind(p Policy) (sched.Kind, error) {
-	switch p {
-	case FIFO:
-		return sched.FIFO, nil
-	case RoundRobin:
-		return sched.RoundRobin, nil
-	case VirtualClock:
-		return sched.VirtualClock, nil
-	case WRR:
-		return sched.WRR, nil
-	case DRR:
-		return sched.DRR, nil
-	case WF2Q:
-		return sched.WF2Q, nil
-	case SPWRR:
-		return sched.SPWRR, nil
-	}
-	return 0, fmt.Errorf("mediaworm: unknown policy %q", p)
-}
-
 // schedParams maps the VC partition onto the per-VC weights and priority
 // tiers the weighted disciplines consume: real-time VCs [0, rtVCs) carry
 // RTWeight at tier 0, best-effort VCs carry BEWeight at tier 1.
