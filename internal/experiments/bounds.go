@@ -193,8 +193,8 @@ func boundsSweep(opt Options, cells []boundsCell, notes string) (*BoundsReport, 
 
 // CalculusParams maps a simulator configuration onto the analytic model's
 // parameters for the given operating point, pricing the fabric cfg.Topology
-// builds. Exported so CLIs and examples price the exact configuration they
-// simulate.
+// builds and the weights and quantum cfg.Sched gives its discipline.
+// Exported so CLIs and examples price the exact configuration they simulate.
 func CalculusParams(cfg mediaworm.Config, load, rtShare float64, rtVCs int) (calculus.Params, error) {
 	kind, err := sched.ParseKind(string(cfg.Policy))
 	if err != nil {
@@ -212,6 +212,9 @@ func CalculusParams(cfg mediaworm.Config, load, rtShare float64, rtVCs int) (cal
 		VCs:              cfg.VCs,
 		RTVCs:            rtVCs,
 		Policy:           kind,
+		RTWeight:         cfg.Sched.RTWeight,
+		BEWeight:         cfg.Sched.BEWeight,
+		Quantum:          cfg.Sched.Quantum,
 		FrameBytes:       cfg.FrameBytes,
 		FrameBytesSD:     cfg.FrameBytesSD,
 		IntervalSec:      cfg.FrameInterval.Seconds(),

@@ -8,6 +8,7 @@ import (
 
 	"mediaworm"
 	"mediaworm/internal/calculus"
+	"mediaworm/internal/sched"
 	"mediaworm/internal/traffic"
 )
 
@@ -98,6 +99,37 @@ func TestCalculusParamsMapsConfig(t *testing.T) {
 	fatCfg.Lanes = 3
 	if wide, err := CalculusParams(fatCfg, 0.8, 0.5, 8); err != nil || wide.Spec.Lanes != 3 {
 		t.Fatalf("lane override: %+v, %v", wide.Spec, err)
+	}
+	if p.RTWeight != 0 || p.BEWeight != 0 || p.Quantum != 0 {
+		t.Fatalf("unweighted config priced with weights %d:%d quantum %d", p.RTWeight, p.BEWeight, p.Quantum)
+	}
+	weighted := cfg
+	weighted.Policy = mediaworm.WRR
+	weighted.Sched = mediaworm.SchedConfig{RTWeight: 3, BEWeight: 1, Quantum: 2}
+	wp, err := CalculusParams(weighted, 0.8, 0.5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wp.Policy != sched.WRR || wp.RTWeight != 3 || wp.BEWeight != 1 || wp.Quantum != 2 {
+		t.Fatalf("weighted mapping: %v %d:%d quantum %d", wp.Policy, wp.RTWeight, wp.BEWeight, wp.Quantum)
+	}
+	// The weights reach the bound: 3:1 buys the real-time VCs a larger share
+	// than 1:1, so the same cell is priced tighter.
+	bound := func(sc mediaworm.SchedConfig) float64 {
+		c := weighted
+		c.Sched = sc
+		p, err := CalculusParams(c, 0.4, 0.4, traffic.PartitionVCs(c.VCs, 0.4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := calculus.BalancedDelayBoundSec(p, 0.4, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if bw, bu := bound(weighted.Sched), bound(mediaworm.SchedConfig{}); !(bw < bu) {
+		t.Fatalf("WRR 3:1 bound %v not below the 1:1 bound %v", bw, bu)
 	}
 	bad := cfg
 	bad.Policy = "bogus"
