@@ -39,7 +39,6 @@ import (
 	"mediaworm/internal/rng"
 	"mediaworm/internal/runner"
 	"mediaworm/internal/stats"
-	"mediaworm/internal/traffic"
 )
 
 func main() {
@@ -329,7 +328,7 @@ func main() {
 // "inf" means the model declines the operating point rather than certify an
 // unsound bound; an error means it cannot price the fabric at all.
 func analyticBound(cfg mediaworm.Config) (string, error) {
-	p, err := experiments.CalculusParams(cfg, cfg.Load, cfg.RTShare, traffic.PartitionVCs(cfg.VCs, cfg.RTShare))
+	p, err := experiments.CalculusParams(cfg)
 	if err != nil {
 		return "", err
 	}

@@ -8,14 +8,12 @@ import (
 	"math"
 	"sort"
 
+	"mediaworm"
 	"mediaworm/internal/calculus"
 	"mediaworm/internal/flit"
-	"mediaworm/internal/sched"
+	"mediaworm/internal/runner"
 	"mediaworm/internal/sim"
 	"mediaworm/internal/traffic"
-
-	"mediaworm"
-	"mediaworm/internal/runner"
 )
 
 // BoundsSweep cross-validates the closed-form network-calculus bounds of
@@ -119,23 +117,27 @@ func (r *BoundsReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "total violations: %d, median slack: %.1f\n\n", r.Violations(), r.MedianSlack())
 }
 
-// boundsCell locates one simulation of the sweep.
-type boundsCell struct {
-	topology  mediaworm.Topology
-	load, mix float64
+// gridConfig is one simulation of the sweep: the base configuration on the
+// given fabric at the given load and real-time share.
+func gridConfig(opt Options, topo mediaworm.Topology, load, mix float64) mediaworm.Config {
+	cfg := baseConfig(opt)
+	cfg.Topology = topo
+	cfg.Load = load
+	cfg.RTShare = mix
+	return cfg
 }
 
-func boundsGrid(full bool) []boundsCell {
-	var cells []boundsCell
+func boundsGrid(opt Options, full bool) []mediaworm.Config {
+	var cells []mediaworm.Config
 	if full {
 		for _, load := range Table2Loads {
 			for _, mix := range Fig5Mixes {
-				cells = append(cells, boundsCell{topology: mediaworm.SingleSwitch, load: load, mix: mix})
+				cells = append(cells, gridConfig(opt, mediaworm.SingleSwitch, load, mix))
 			}
 		}
 		for _, load := range Fig9Loads {
 			for _, mix := range Fig9Mixes {
-				cells = append(cells, boundsCell{topology: mediaworm.FatMesh2x2, load: load, mix: mix})
+				cells = append(cells, gridConfig(opt, mediaworm.FatMesh2x2, load, mix))
 			}
 		}
 		return cells
@@ -143,19 +145,20 @@ func boundsGrid(full bool) []boundsCell {
 	// Smoke grid: corners that exercise both fabrics — certifiable mixed
 	// and pure-RT single-switch cells, a saturating pure-RT cell the model
 	// must decline, and a certifiable plus a declining fat-mesh cell.
-	return []boundsCell{
-		{topology: mediaworm.SingleSwitch, load: 0.60, mix: 0.5},
-		{topology: mediaworm.SingleSwitch, load: 0.60, mix: 1.0},
-		{topology: mediaworm.SingleSwitch, load: 0.90, mix: 1.0},
-		{topology: mediaworm.FatMesh2x2, load: 0.70, mix: 0.4},
-		{topology: mediaworm.FatMesh2x2, load: 0.90, mix: 0.8},
+	return []mediaworm.Config{
+		gridConfig(opt, mediaworm.SingleSwitch, 0.60, 0.5),
+		gridConfig(opt, mediaworm.SingleSwitch, 0.60, 1.0),
+		gridConfig(opt, mediaworm.SingleSwitch, 0.90, 1.0),
+		gridConfig(opt, mediaworm.FatMesh2x2, 0.70, 0.4),
+		gridConfig(opt, mediaworm.FatMesh2x2, 0.90, 0.8),
 	}
 }
 
 // BoundsSweep runs the full figure grid: Table 2 loads × Fig. 5 mixes on
 // the single switch plus the Fig. 9 load/mix grid on the 2×2 fat-mesh.
 func BoundsSweep(opt Options) (*BoundsReport, error) {
-	return boundsSweep(opt, boundsGrid(true),
+	opt = opt.normalized()
+	return boundsSweep(opt, boundsGrid(opt, true),
 		"bound is the per-stream network-calculus delay bound (internal/calculus); "+
 			"observed is the worst delivered message latency per stream; "+
 			"uncertified streams carry an infinite bound (model declines the operating point)")
@@ -164,27 +167,30 @@ func BoundsSweep(opt Options) (*BoundsReport, error) {
 // BoundsSmoke runs a reduced five-cell grid — both fabrics, certifiable and
 // saturating corners — sized for CI.
 func BoundsSmoke(opt Options) (*BoundsReport, error) {
-	return boundsSweep(opt, boundsGrid(false), "reduced CI grid; see BoundsSweep for the full one")
+	opt = opt.normalized()
+	return boundsSweep(opt, boundsGrid(opt, false), "reduced CI grid; see BoundsSweep for the full one")
 }
 
-func boundsSweep(opt Options, cells []boundsCell, notes string) (*BoundsReport, error) {
-	opt = opt.normalized()
+// boundsSweep simulates each cell through mediaworm.NewSim, so a cell runs
+// the fabric, policy and weights its configuration names and is priced
+// from that same configuration.
+func boundsSweep(opt Options, cells []mediaworm.Config, notes string) (*BoundsReport, error) {
 	// A fabric the model cannot price fails here, before any cell runs.
 	for _, c := range cells {
-		if _, err := boundsModel(opt, c); err != nil {
-			return nil, fmt.Errorf("bounds sweep on %s: %w", c.topology, err)
+		if _, err := boundsModel(c); err != nil {
+			return nil, fmt.Errorf("bounds sweep on %s: %w", c.Topology, err)
 		}
 	}
 	pts, err := runner.Map(context.Background(), len(cells),
 		runner.Options{Workers: opt.Parallel},
 		func(_ context.Context, i int) (BoundsPoint, error) {
-			return runBoundsPoint(opt, cells[i])
+			return runBoundsPoint(cells[i])
 		})
 	if err != nil {
 		var re *runner.Error
 		if errors.As(err, &re) {
 			c := cells[re.Index]
-			return nil, fmt.Errorf("bounds sweep at load %.2f mix %.2f: %w", c.load, c.mix, re.Err)
+			return nil, fmt.Errorf("bounds sweep at load %.2f mix %.2f: %w", c.Load, c.RTShare, re.Err)
 		}
 		return nil, fmt.Errorf("bounds sweep: %w", err)
 	}
@@ -192,18 +198,17 @@ func boundsSweep(opt Options, cells []boundsCell, notes string) (*BoundsReport, 
 }
 
 // CalculusParams maps a simulator configuration onto the analytic model's
-// parameters for the given operating point, pricing the fabric cfg.Topology
-// builds and the weights and quantum cfg.Sched gives its discipline.
-// Exported so CLIs and examples price the exact configuration they simulate.
-func CalculusParams(cfg mediaworm.Config, load, rtShare float64, rtVCs int) (calculus.Params, error) {
-	kind, err := sched.ParseKind(string(cfg.Policy))
-	if err != nil {
+// parameters: the fabric cfg.Topology builds, the VC partition and
+// best-effort load that cfg.Load and cfg.RTShare give, and the discipline
+// NewSim resolves from cfg.Policy with the weights and quantum of
+// cfg.Sched. A configuration Validate rejects is refused. Exported so CLIs
+// and examples price the exact configuration they simulate.
+func CalculusParams(cfg mediaworm.Config) (calculus.Params, error) {
+	if err := cfg.Validate(); err != nil {
 		return calculus.Params{}, err
 	}
-	spec, err := cfg.TopologySpec()
-	if err != nil {
-		return calculus.Params{}, err
-	}
+	spec, _ := cfg.TopologySpec() // Validate resolved it
+	rtVCs := traffic.PartitionVCs(cfg.VCs, cfg.RTShare)
 	return calculus.Params{
 		Spec:             spec,
 		LinkBandwidthBps: cfg.LinkBandwidthBps,
@@ -211,53 +216,42 @@ func CalculusParams(cfg mediaworm.Config, load, rtShare float64, rtVCs int) (cal
 		MsgFlits:         cfg.MsgFlits,
 		VCs:              cfg.VCs,
 		RTVCs:            rtVCs,
-		Policy:           kind,
+		Policy:           cfg.RouterConfig(rtVCs).Policy,
 		RTWeight:         cfg.Sched.RTWeight,
 		BEWeight:         cfg.Sched.BEWeight,
 		Quantum:          cfg.Sched.Quantum,
 		FrameBytes:       cfg.FrameBytes,
 		FrameBytesSD:     cfg.FrameBytesSD,
 		IntervalSec:      cfg.FrameInterval.Seconds(),
-		BestEffortLoad:   load * (1 - rtShare),
+		BestEffortLoad:   cfg.Load * (1 - cfg.RTShare),
 	}, nil
 }
 
-// boundsConfig is the simulator configuration of one sweep cell.
-func boundsConfig(opt Options, cell boundsCell) mediaworm.Config {
-	cfg := baseConfig(opt)
-	cfg.Topology = cell.topology
-	return cfg
-}
-
 // boundsModel builds the analytic model of one sweep cell.
-func boundsModel(opt Options, cell boundsCell) (*calculus.Controller, error) {
-	cfg := boundsConfig(opt, cell)
-	params, err := CalculusParams(cfg, cell.load, cell.mix, traffic.PartitionVCs(cfg.VCs, cell.mix))
+func boundsModel(cfg mediaworm.Config) (*calculus.Controller, error) {
+	params, err := CalculusParams(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return calculus.New(params)
 }
 
-func runBoundsPoint(opt Options, cell boundsCell) (BoundsPoint, error) {
-	base := boundsConfig(opt, cell)
-	rtVCs := traffic.PartitionVCs(base.VCs, cell.mix)
-	eng := sim.NewEngine()
-	net, err := buildFabric(eng, base, rtVCs)
+func runBoundsPoint(cfg mediaworm.Config) (BoundsPoint, error) {
+	cfg.Trace = mediaworm.TraceConfig{} // cells deliver no capture to TraceSink
+	s, err := mediaworm.NewSim(cfg)
 	if err != nil {
 		return BoundsPoint{}, err
 	}
 
-	warmup := sim.Time(base.Warmup.Nanoseconds())
-	stop := warmup + sim.Time(base.Measure.Nanoseconds())
-	interval := sim.Time(base.FrameInterval.Nanoseconds())
-
 	// Per-stream worst observed message latency, injection to tail
 	// delivery. The bound claims every message, warmup included: an
-	// initially empty fabric only helps, so no window filtering.
+	// initially empty fabric only helps, so no window filtering. The hook
+	// chains after NewSim's own, which feeds the Result.
 	observed := map[int]sim.Time{}
-	for _, s := range net.Sinks {
-		s.OnMessage = func(m *flit.Message, at sim.Time) {
+	for _, sk := range s.Net().Sinks {
+		measure := sk.OnMessage
+		sk.OnMessage = func(m *flit.Message, at sim.Time) {
+			measure(m, at)
 			if m.Class == flit.BestEffort {
 				return
 			}
@@ -266,47 +260,33 @@ func runBoundsPoint(opt Options, cell boundsCell) (BoundsPoint, error) {
 			}
 		}
 	}
-
-	w, err := traffic.Apply(eng, net, traffic.MixConfig{
-		Load: cell.load, RTShare: cell.mix, Class: flit.VBR,
-		LinkBitsPerSec: base.LinkBandwidthBps,
-		FlitBits:       base.FlitBits, MsgFlits: base.MsgFlits,
-		FrameBytes: base.FrameBytes, FrameBytesSD: base.FrameBytesSD,
-		Interval: interval, VCs: base.VCs, RTVCs: rtVCs,
-		Stop: stop, Seed: opt.Seed,
-	})
-	if err != nil {
+	if _, err := s.Finish(); err != nil {
 		return BoundsPoint{}, err
 	}
 
-	eng.Run(stop)
-	eng.Drain()
-	if err := net.Fabric.CheckDrained(); err != nil {
-		return BoundsPoint{}, err
-	}
-
-	model, err := boundsModel(opt, cell)
+	model, err := boundsModel(cfg)
 	if err != nil {
 		return BoundsPoint{}, err
 	}
 	// Price the realized placement, not the balanced ideal: registration
 	// order does not matter, so bounds are placement-exact.
-	for _, st := range w.Streams {
+	streams := s.Workload().Streams
+	for _, st := range streams {
 		model.Register(st.Src(), st.Dst())
 	}
 
-	norm := paperIntervalMs / (base.FrameInterval.Seconds() * 1000)
+	norm := paperIntervalMs / (cfg.FrameInterval.Seconds() * 1000)
 	point := BoundsPoint{
-		Fabric:  string(cell.topology),
-		Load:    cell.load,
-		RTShare: cell.mix,
-		Streams: len(w.Streams),
+		Fabric:  string(cfg.Topology),
+		Load:    cfg.Load,
+		RTShare: cfg.RTShare,
+		Streams: len(streams),
 	}
-	if cell.topology == mediaworm.FatMesh2x2 {
+	if cfg.Topology == mediaworm.FatMesh2x2 {
 		point.Fabric = "fat-mesh" // the report's established label
 	}
 	var slacks []float64
-	for _, st := range w.Streams {
+	for _, st := range streams {
 		boundMs := model.DelayBoundSec(st.Src(), st.Dst()) * 1e3 * norm
 		if math.IsInf(boundMs, 1) {
 			continue

@@ -5,18 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"mediaworm/internal/admission"
-	"mediaworm/internal/fault"
-	"mediaworm/internal/flit"
-	"mediaworm/internal/network"
-	"mediaworm/internal/rng"
-	"mediaworm/internal/runner"
-	"mediaworm/internal/sim"
-	"mediaworm/internal/stats"
-	"mediaworm/internal/traffic"
+	"time"
 
 	"mediaworm"
+	"mediaworm/internal/admission"
+	"mediaworm/internal/runner"
+	"mediaworm/internal/sim"
+	"mediaworm/internal/traffic"
 )
 
 // FaultSweep studies QoS under failure on the 2×2 fat-mesh: stochastic link
@@ -87,64 +82,39 @@ func FaultSweep(opt Options) (*FaultReport, error) {
 }
 
 func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
-	base := baseConfig(opt)
-	base.Topology = mediaworm.FatMesh2x2
 	const (
 		load    = 0.70
 		rtShare = 0.80
 	)
-	rtVCs := traffic.PartitionVCs(base.VCs, rtShare)
-	eng := sim.NewEngine()
-	net, err := buildFabric(eng, base, rtVCs)
+	cfg := baseConfig(opt)
+	cfg.Topology = mediaworm.FatMesh2x2
+	cfg.Load, cfg.RTShare = load, rtShare
+	cfg.Trace = mediaworm.TraceConfig{} // points deliver no capture to TraceSink
+	// Resilience stack: watchdog in recovery mode, end-to-end retransmission
+	// at the FaultsConfig defaults (two frame intervals, four attempts).
+	cfg.Faults = mediaworm.FaultsConfig{Retransmit: true, WatchdogRecover: true}
+	if rate > 0 {
+		stop := cfg.Warmup + cfg.Measure
+		cfg.Faults.LinkMTBF = time.Duration(float64(stop) / rate)
+		cfg.Faults.LinkMTTR = max(stop/20, 1)
+	}
+	s, err := mediaworm.NewSim(cfg)
 	if err != nil {
 		return FaultPoint{}, err
 	}
-
-	warmup := sim.Time(base.Warmup.Nanoseconds())
-	stop := warmup + sim.Time(base.Measure.Nanoseconds())
-	interval := sim.Time(base.FrameInterval.Nanoseconds())
-
-	// Resilience stack: watchdog in recovery mode, end-to-end retransmission.
-	net.Fabric.SetWatchdog(50000, true)
-	retx := network.NewRetransmitter(net.Fabric, 2*interval, 4)
-
-	// Measurement: frame ledger for the delivered-frame ratio, interval
-	// tracker for jitter of the frames that do arrive.
-	intervals := stats.NewIntervalTracker(warmup)
-	ledger := stats.NewFrameLedger()
-	for _, s := range net.Sinks {
-		s.OnFrame = func(stream, frame int, at sim.Time) {
-			intervals.Observe(stream, at)
-			ledger.Delivered(stream)
-		}
-	}
-
-	w, err := traffic.Apply(eng, net, traffic.MixConfig{
-		Load: load, RTShare: rtShare, Class: flit.VBR,
-		LinkBitsPerSec: base.LinkBandwidthBps,
-		FlitBits:       base.FlitBits, MsgFlits: base.MsgFlits,
-		FrameBytes: base.FrameBytes, FrameBytesSD: base.FrameBytesSD,
-		Interval: interval, VCs: base.VCs, RTVCs: rtVCs,
-		Stop: stop, Seed: opt.Seed,
-	})
-	if err != nil {
-		return FaultPoint{}, err
-	}
-	for _, st := range w.Streams {
-		st.OnEmit = func(stream, frame int) { ledger.Emitted(stream) }
-	}
+	net := s.Net()
 
 	// Admission closed loop: every generated stream registers with the
 	// controller; capacity follows the live transit-link fraction, revoking
 	// the newest streams under sustained loss and re-admitting on recovery.
 	ctrl, err := admission.NewController(admission.DefaultEnvelope(),
-		base.LinkBandwidthBps, base.FrameBytes*8/base.FrameInterval.Seconds())
+		cfg.LinkBandwidthBps, cfg.FrameBytes*8/cfg.FrameInterval.Seconds())
 	if err != nil {
 		return FaultPoint{}, err
 	}
 	ctrl.SetBestEffortLoad(load * (1 - rtShare))
-	streams := make(map[int]*traffic.Stream, len(w.Streams))
-	for _, st := range w.Streams {
+	streams := make(map[int]*traffic.Stream, len(s.Workload().Streams))
+	for _, st := range s.Workload().Streams {
 		streams[st.ID()] = st
 		if !ctrl.AdmitStream(st.ID(), 0) {
 			st.Revoke() // over-subscribed at setup: shed immediately
@@ -152,7 +122,10 @@ func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
 	}
 	point := FaultPoint{FaultsPerLink: rate}
 	var waiting []int // revoked stream IDs, oldest first
-	onCapacity := func() {
+	s.Injector().OnFault = func(at sim.Time, kind string, router, port int) {
+		if kind != "link-down" && kind != "link-up" {
+			return
+		}
 		scale := float64(net.LiveTransitLinks()) / float64(len(net.TransitLinks()))
 		if scale < 0.05 {
 			scale = 0.05
@@ -170,43 +143,22 @@ func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
 		}
 	}
 
-	injector := fault.NewInjector(eng, net.Fabric, rng.NewStream(opt.Seed, "fault"))
-	injector.OnFault = func(at sim.Time, kind string, router, port int) {
-		if kind == "link-down" || kind == "link-up" {
-			onCapacity()
-		}
-	}
-	if rate > 0 {
-		mtbf := sim.Time(float64(stop) / rate)
-		mttr := stop / 20
-		if mttr < 1 {
-			mttr = 1
-		}
-		for _, l := range net.TransitLinks() {
-			injector.Churn(fault.Link{
-				A: net.Routers[l.A], APort: l.APort,
-				B: net.Routers[l.B], BPort: l.BPort,
-			}, mtbf, mttr, stop)
-		}
-	}
-
-	eng.Run(stop)
-	eng.Drain()
-	if err := net.Fabric.CheckDrained(); err != nil {
+	res, err := s.Finish()
+	if err != nil {
 		return FaultPoint{}, err
 	}
-
-	norm := paperIntervalMs / (base.FrameInterval.Seconds() * 1000)
-	point.LinkDowns = injector.LinkDowns
-	point.DeliveredFrameRatio = ledger.Ratio()
-	point.DMs = intervals.MeanMs() * norm
-	point.SDMs = intervals.StdDevMs() * norm
-	point.FlitsDropped = net.Fabric.DroppedFlits()
-	point.Retransmissions = retx.Retransmissions
-	point.Recovered = retx.Recovered
-	point.Abandoned = retx.Abandoned
-	point.Deadlocks = net.Fabric.Deadlocks
-	point.DeadlocksBroken = net.Fabric.DeadlocksBroken
+	norm := paperIntervalMs / (cfg.FrameInterval.Seconds() * 1000)
+	rs := res.Resilience
+	point.LinkDowns = rs.LinkDowns
+	point.DeliveredFrameRatio = rs.DeliveredFrameRatio
+	point.DMs = res.MeanDeliveryIntervalMs * norm
+	point.SDMs = res.StdDevDeliveryIntervalMs * norm
+	point.FlitsDropped = rs.FlitsDropped
+	point.Retransmissions = rs.Retransmissions
+	point.Recovered = rs.Recovered
+	point.Abandoned = rs.Abandoned
+	point.Deadlocks = rs.Deadlocks
+	point.DeadlocksBroken = rs.DeadlocksBroken
 	return point, nil
 }
 
