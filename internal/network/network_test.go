@@ -133,7 +133,7 @@ func TestSingleSwitchMixedTrafficDelivers(t *testing.T) {
 	if del == 0 {
 		t.Fatal("no best-effort traffic delivered")
 	}
-	if m.be.Saturated(0.05) {
+	if stats.Saturated(m.be.Counts()) {
 		t.Fatalf("best-effort saturated at 30%% BE load (injected %d delivered %d)", inj, del)
 	}
 	lat := m.be.MeanLatencyUs()
