@@ -177,6 +177,35 @@ func TestFigurePrinting(t *testing.T) {
 	}
 }
 
+// TestFprintDynPartEmptyPhase renders a phase without post-warmup
+// best-effort deliveries — phase 1 when the mix shifts at the warmup end —
+// as "-", and a saturated phase as "Sat.", never as NaN.
+func TestFprintDynPartEmptyPhase(t *testing.T) {
+	var buf bytes.Buffer
+	FprintDynPart([]DynPartResult{
+		{Variant: "empty", Phase1BEUs: math.NaN(), Phase2BEUs: 58.6},
+		{Variant: "sat", Phase1BEUs: math.NaN(), Phase1BESat: true, Phase2BEUs: 64},
+	}, &buf)
+	want := map[string][2]string{"empty": {"-", "58.6"}, "sat": {"Sat.", "64.0"}}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		w, ok := want[f[0]]
+		if !ok {
+			continue
+		}
+		if len(f) != 7 || f[3] != w[0] || f[4] != w[1] {
+			t.Fatalf("row %q: phase cells %v, want %v", line, f[3:], w)
+		}
+		delete(want, f[0])
+	}
+	if len(want) != 0 {
+		t.Fatalf("rows %v missing:\n%s", want, buf.String())
+	}
+}
+
 func TestTable1Prints(t *testing.T) {
 	var buf bytes.Buffer
 	Table1(&buf)
