@@ -289,22 +289,6 @@ func (c *Controller) AdmitStream(id, priority int) bool {
 	return true
 }
 
-// ReleaseStream returns an AdmitStream-admitted stream's bandwidth. It
-// panics on an unknown id.
-func (c *Controller) ReleaseStream(id int) {
-	for i := range c.streams {
-		if c.streams[i].id == id {
-			c.streams = append(c.streams[:i], c.streams[i+1:]...)
-			c.accepted--
-			return
-		}
-	}
-	panic("admission: release of unknown stream")
-}
-
-// CapacityScale returns the current effective-capacity fraction.
-func (c *Controller) CapacityScale() float64 { return c.scale }
-
 // BestEffortShed returns the fraction of link bandwidth of standing
 // best-effort load currently shed by degradation.
 func (c *Controller) BestEffortShed() float64 { return c.beShed }

@@ -419,9 +419,6 @@ func (r *Router) PortStats(p int) PortStats { return r.portStats[p] }
 // LinkUp reports whether output port p's link is healthy.
 func (r *Router) LinkUp(p int) bool { return r.linkUp[p] }
 
-// PortStalled reports whether output port p has an injected stall.
-func (r *Router) PortStalled(p int) bool { return r.stalled[p] }
-
 // SetCorruption installs a per-flit corruption hook: it is consulted as each
 // flit is transmitted on an output link, and returning true drops the flit
 // and kills its message (the worm unravels and is reclaimed; the NI

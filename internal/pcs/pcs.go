@@ -120,7 +120,6 @@ type Switch struct {
 	eng     *sim.Engine
 	inBusy  [][]*Conn // [port][vc] connection holding the input-link VC
 	outBusy [][]*Conn
-	conns   []*Conn
 	// byIn and byOut list established connections per port for the link
 	// multiplexers.
 	byIn  [][]*Conn
@@ -159,9 +158,6 @@ func NewSwitch(eng *sim.Engine, cfg Config) (*Switch, error) {
 
 // Config returns the switch configuration.
 func (s *Switch) Config() Config { return s.cfg }
-
-// Conns returns the established connections.
-func (s *Switch) Conns() []*Conn { return s.conns }
 
 // SelectMode chooses how a probe picks virtual channels.
 type SelectMode uint8
@@ -206,12 +202,11 @@ func (s *Switch) Establish(src, dst int, vtick sim.Time, mode SelectMode, rnd *r
 	default:
 		panic("pcs: unknown select mode")
 	}
-	c := &Conn{ID: len(s.conns), Src: src, Dst: dst, InVC: in, OutVC: out, Vtick: vtick}
+	c := &Conn{ID: s.Established, Src: src, Dst: dst, InVC: in, OutVC: out, Vtick: vtick}
 	s.inBusy[src][in] = c
 	s.outBusy[dst][out] = c
 	s.byIn[src] = append(s.byIn[src], c)
 	s.byOut[dst] = append(s.byOut[dst], c)
-	s.conns = append(s.conns, c)
 	s.Established++
 	return c
 }

@@ -54,15 +54,5 @@ func (l *FrameLedger) Ratio() float64 {
 	return float64(l.delivered) / float64(l.emitted)
 }
 
-// StreamRatio returns the delivered-frame ratio of one stream (1 when the
-// stream emitted nothing).
-func (l *FrameLedger) StreamRatio(stream int) float64 {
-	s := l.perStream[stream]
-	if s == nil || s.emitted == 0 {
-		return 1
-	}
-	return float64(s.delivered) / float64(s.emitted)
-}
-
 // Streams returns the number of streams that emitted at least one frame.
 func (l *FrameLedger) Streams() int { return len(l.perStream) }
