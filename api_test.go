@@ -207,9 +207,10 @@ func TestRunFullCrossbar(t *testing.T) {
 }
 
 func TestRunPCSBasics(t *testing.T) {
-	cfg := DefaultPCSConfig().Scale(0.1)
-	cfg.Measure = 10 * cfg.FrameInterval
-	cfg.Warmup = 3 * cfg.FrameInterval
+	cfg := fastCfg()
+	cfg.VCs = 24
+	cfg.LinkBandwidthBps = 100e6
+	cfg.Load = 0.7
 	res, err := RunPCS(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +224,32 @@ func TestRunPCSBasics(t *testing.T) {
 	}
 	if res.StdDevDeliveryIntervalMs > 0.05*wantD {
 		t.Fatalf("PCS σd = %.4f at 0.7 load", res.StdDevDeliveryIntervalMs)
+	}
+}
+
+// TestRunPCSRefusesUnsupportedConfig checks that RunPCS refuses each
+// workload the PCS model cannot generate rather than silently running the
+// single-switch VBR workload in its place.
+func TestRunPCSRefusesUnsupportedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"topology", func(c *Config) { c.Topology = Tetrahedral }},
+		{"best-effort share", func(c *Config) { c.RTShare = 0.8 }},
+		{"class", func(c *Config) { c.Class = CBR }},
+		{"VBR model", func(c *Config) { c.VBRModel = VBRGoP }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastCfg()
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("the wormhole router accepts the config, PCS must refuse it itself: %v", err)
+			}
+			if _, err := RunPCS(cfg); err == nil {
+				t.Fatal("RunPCS accepted a workload PCS cannot generate")
+			}
+		})
 	}
 }
 

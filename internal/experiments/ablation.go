@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"mediaworm"
-)
+import "mediaworm"
 
 // Ablation studies for the modeling decisions DESIGN.md §3 calls out. Each
 // isolates one design choice of the MediaWorm model and shows its effect on
@@ -12,32 +8,6 @@ import (
 
 // AblationLoads are the high-load points where the design choices matter.
 var AblationLoads = []float64{0.80, 0.90, 0.96}
-
-// ablationSweep runs one variant per series over AblationLoads through the
-// shared grid executor; mutate customizes the config per variant index.
-func ablationSweep(opt Options, fig *Figure, labels []string, mutate func(cfg *mediaworm.Config, variant int)) (*Figure, error) {
-	opt = opt.normalized()
-	var cfgs []mediaworm.Config
-	for v := range labels {
-		for _, load := range AblationLoads {
-			cfg := baseConfig(opt)
-			cfg.Load = load
-			mutate(&cfg, v)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", fig.ID, err)
-	}
-	for v, label := range labels {
-		fig.Series = append(fig.Series, Series{
-			Label:  label,
-			Points: pts[v*len(AblationLoads) : (v+1)*len(AblationLoads)],
-		})
-	}
-	return fig, nil
-}
 
 // AblationAllocator compares one allocator iteration (greedy matching)
 // against two (one-step augmentation) on a mixed 50:50 workload — the
@@ -50,7 +20,7 @@ func AblationAllocator(opt Options) (*Figure, error) {
 		ShowBE: true,
 	}
 	iters := []int{1, 2}
-	return ablationSweep(opt, fig, []string{"1-iter", "2-iter"}, func(cfg *mediaworm.Config, v int) {
+	return seriesSweep(opt, fig, []string{"1-iter", "2-iter"}, AblationLoads, func(cfg *mediaworm.Config, v int) {
 		cfg.RTShare = 0.5
 		cfg.AllocatorIterations = iters[v]
 	})
@@ -66,7 +36,7 @@ func AblationEndpointVCs(opt Options) (*Figure, error) {
 		XLabel: "load",
 		ShowBE: true,
 	}
-	return ablationSweep(opt, fig, []string{"shared", "exclusive"}, func(cfg *mediaworm.Config, v int) {
+	return seriesSweep(opt, fig, []string{"shared", "exclusive"}, AblationLoads, func(cfg *mediaworm.Config, v int) {
 		cfg.RTShare = 0.5
 		cfg.ExclusiveEndpointVCs = v == 1
 	})
@@ -83,11 +53,11 @@ func AblationSourcePolicy(opt Options) (*Figure, error) {
 		ShowBE: true,
 	}
 	policies := []mediaworm.Policy{mediaworm.VirtualClock, mediaworm.FIFO}
-	labels := make([]string, len(policies))
-	for i, p := range policies {
-		labels[i] = "NI " + string(p)
+	labels := names(policies)
+	for i := range labels {
+		labels[i] = "NI " + labels[i]
 	}
-	return ablationSweep(opt, fig, labels, func(cfg *mediaworm.Config, v int) {
+	return seriesSweep(opt, fig, labels, AblationLoads, func(cfg *mediaworm.Config, v int) {
 		cfg.RTShare = 0.8
 		cfg.SourcePolicy = policies[v]
 	})
@@ -103,11 +73,7 @@ func AblationScheduler(opt Options) (*Figure, error) {
 		ShowBE: true,
 	}
 	policies := []mediaworm.Policy{mediaworm.VirtualClock, mediaworm.RoundRobin, mediaworm.FIFO}
-	labels := make([]string, len(policies))
-	for i, p := range policies {
-		labels[i] = string(p)
-	}
-	return ablationSweep(opt, fig, labels, func(cfg *mediaworm.Config, v int) {
+	return seriesSweep(opt, fig, names(policies), AblationLoads, func(cfg *mediaworm.Config, v int) {
 		cfg.RTShare = 0.8
 		cfg.Policy = policies[v]
 	})

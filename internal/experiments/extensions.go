@@ -23,7 +23,6 @@ import (
 // ExtGoP compares the paper's normal-draw VBR against MPEG
 // Group-of-Pictures structured VBR (periodic large I frames).
 func ExtGoP(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "ext-gop",
 		Title:  "Extension: normal-draw VBR vs MPEG GoP VBR (100:0)",
@@ -31,62 +30,24 @@ func ExtGoP(opt Options) (*Figure, error) {
 		Notes:  "GoP = IBBPBBPBBPBB pattern, 5:3:1 I:P:B sizes, random per-stream phase",
 	}
 	models := []mediaworm.VBRModel{mediaworm.VBRNormal, mediaworm.VBRGoP}
-	loads := []float64{0.60, 0.80, 0.90}
-	var cfgs []mediaworm.Config
-	for _, model := range models {
-		for _, load := range loads {
-			cfg := baseConfig(opt)
-			cfg.Load = load
-			cfg.RTShare = 1.0
-			cfg.VBRModel = model
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("ext-gop: %w", err)
-	}
-	for i, model := range models {
-		fig.Series = append(fig.Series, Series{
-			Label:  string(model),
-			Points: pts[i*len(loads) : (i+1)*len(loads)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, names(models), []float64{0.60, 0.80, 0.90}, func(cfg *mediaworm.Config, s int) {
+		cfg.VBRModel = models[s]
+	})
 }
 
 // ExtTetrahedral compares the paper's 2×2 fat-mesh with the tetrahedral
 // (fully connected) 4-switch cluster of §3.4 at an 80:20 mix.
 func ExtTetrahedral(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "ext-tetra",
 		Title:  "Extension: fat-mesh vs tetrahedral cluster (80:20 mix)",
 		XLabel: "load",
 	}
 	topos := []mediaworm.Topology{mediaworm.FatMesh2x2, mediaworm.Tetrahedral}
-	loads := []float64{0.60, 0.70, 0.80}
-	var cfgs []mediaworm.Config
-	for _, topo := range topos {
-		for _, load := range loads {
-			cfg := baseConfig(opt)
-			cfg.Topology = topo
-			cfg.Load = load
-			cfg.RTShare = 0.8
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("ext-tetra: %w", err)
-	}
-	for i, topo := range topos {
-		fig.Series = append(fig.Series, Series{
-			Label:  string(topo),
-			Points: pts[i*len(loads) : (i+1)*len(loads)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, names(topos), []float64{0.60, 0.70, 0.80}, func(cfg *mediaworm.Config, s int) {
+		cfg.Topology = topos[s]
+		cfg.RTShare = 0.8
+	})
 }
 
 // DynPartResult reports the shifting-mix experiment: the workload's

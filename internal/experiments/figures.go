@@ -17,67 +17,30 @@ var Fig3Loads = []float64{0.60, 0.70, 0.80, 0.90, 0.96}
 // the motivating result. The FIFO-scheduled router jitters beyond ~0.8 load;
 // Virtual Clock stays jitter-free far longer.
 func Fig3(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig3",
 		Title:  "Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
 		XLabel: "load",
 	}
 	policies := []mediaworm.Policy{mediaworm.VirtualClock, mediaworm.FIFO}
-	var cfgs []mediaworm.Config
-	for _, policy := range policies {
-		for _, load := range Fig3Loads {
-			cfg := baseConfig(opt)
-			cfg.Policy = policy
-			cfg.Load = load
-			cfg.RTShare = 0.8
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
-	}
-	for i, policy := range policies {
-		fig.Series = append(fig.Series, Series{
-			Label:  string(policy),
-			Points: pts[i*len(Fig3Loads) : (i+1)*len(Fig3Loads)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, names(policies), Fig3Loads, func(cfg *mediaworm.Config, s int) {
+		cfg.Policy = policies[s]
+		cfg.RTShare = 0.8
+	})
 }
 
 // Fig4 — CBR vs VBR with no best-effort traffic (16 VCs, 400 Mb/s):
 // nearly identical curves, CBR marginally better.
 func Fig4(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig4",
 		Title:  "CBR vs VBR traffic (16 VCs, 400 Mb/s, no best-effort)",
 		XLabel: "load",
 	}
 	classes := []mediaworm.TrafficClass{mediaworm.VBR, mediaworm.CBR}
-	var cfgs []mediaworm.Config
-	for _, class := range classes {
-		for _, load := range Fig3Loads {
-			cfg := baseConfig(opt)
-			cfg.Class = class
-			cfg.Load = load
-			cfg.RTShare = 1.0
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("fig4: %w", err)
-	}
-	for i, class := range classes {
-		fig.Series = append(fig.Series, Series{
-			Label:  string(class),
-			Points: pts[i*len(Fig3Loads) : (i+1)*len(Fig3Loads)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, names(classes), Fig3Loads, func(cfg *mediaworm.Config, s int) {
+		cfg.Class = classes[s]
+	})
 }
 
 // Fig5Mixes are the x:y real-time:best-effort proportions of Fig. 5.
@@ -130,47 +93,30 @@ func (t *Table2) Fprint(w io.Writer) {
 // 100:0 mix carries no best-effort traffic and is excluded, as in the
 // paper).
 func Fig5Table2(opt Options) (*Figure, *Table2, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig5",
 		Title:  "Mixed traffic (16 VCs): jitter vs mix at each load",
 		XLabel: "x:y",
 		XIsMix: true,
 	}
-	tab := &Table2{Loads: Table2Loads}
-	for _, mix := range Fig5Mixes {
-		if mix < 1 {
-			tab.Mixes = append(tab.Mixes, mix)
-		}
-	}
-	tab.Cells = make([][]Point, len(tab.Mixes))
 	// Series per load, points per mix (the paper's Fig. 5 x-axis is the
 	// mix proportion).
-	var cfgs []mediaworm.Config
-	for _, load := range Table2Loads {
-		for _, mix := range Fig5Mixes {
-			cfg := baseConfig(opt)
-			cfg.Load = load
-			cfg.RTShare = mix
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
+	fig, err := seriesSweep(opt, fig, loadLabels(Table2Loads), Fig5Mixes, func(cfg *mediaworm.Config, s int) {
+		cfg.Load = Table2Loads[s]
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("fig5: %w", err)
+		return nil, nil, err
 	}
-	i := 0
-	for _, load := range Table2Loads {
-		s := Series{Label: fmt.Sprintf("load %.2f", load)}
-		for mi, mix := range Fig5Mixes {
-			p := pts[i]
-			i++
-			s.Points = append(s.Points, p)
-			if mix < 1 {
-				tab.Cells[mi] = append(tab.Cells[mi], p)
+	tab := &Table2{Loads: Table2Loads}
+	for mi, mix := range Fig5Mixes {
+		if mix < 1 {
+			tab.Mixes = append(tab.Mixes, mix)
+			row := make([]Point, len(fig.Series))
+			for li, s := range fig.Series {
+				row[li] = s.Points[mi]
 			}
+			tab.Cells = append(tab.Cells, row)
 		}
-		fig.Series = append(fig.Series, s)
 	}
 	return fig, tab, nil
 }
@@ -181,7 +127,6 @@ var Fig6Loads = []float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.96}
 // Fig6 — impact of VCs and crossbar capability (400 Mb/s, 100:0 VBR):
 // 16/8/4 VCs on a multiplexed crossbar, and 4 VCs on a full crossbar.
 func Fig6(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig6",
 		Title:  "Impact of VCs and crossbar capability (100:0 VBR)",
@@ -197,28 +142,14 @@ func Fig6(opt Options) (*Figure, error) {
 		{"4 VC mux", 4, false},
 		{"4 VC full", 4, true},
 	}
-	var cfgs []mediaworm.Config
-	for _, v := range variants {
-		for _, load := range Fig6Loads {
-			cfg := baseConfig(opt)
-			cfg.VCs = v.vcs
-			cfg.FullCrossbar = v.full
-			cfg.Load = load
-			cfg.RTShare = 1.0
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
+	labels := make([]string, len(variants))
 	for i, v := range variants {
-		fig.Series = append(fig.Series, Series{
-			Label:  v.label,
-			Points: pts[i*len(Fig6Loads) : (i+1)*len(Fig6Loads)],
-		})
+		labels[i] = v.label
 	}
-	return fig, nil
+	return seriesSweep(opt, fig, labels, Fig6Loads, func(cfg *mediaworm.Config, s int) {
+		cfg.VCs = variants[s].vcs
+		cfg.FullCrossbar = variants[s].full
+	})
 }
 
 // Fig7Loads are the two representative loads of the message-size study.
@@ -237,7 +168,6 @@ func Fig7MsgSizes(opt Options) []int {
 // Fig7 — effect of message size on jitter (16 VCs, 100:0 VBR): little
 // impact except header overhead at very small sizes.
 func Fig7(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig7",
 		Title:  "Effect of message size on jitter (16 VCs)",
@@ -245,27 +175,13 @@ func Fig7(opt Options) (*Figure, error) {
 		Notes:  "series are message sizes in flits; the largest carries a whole frame per message (the paper's 2560-flit point, scaled)",
 	}
 	sizes := Fig7MsgSizes(opt)
-	var cfgs []mediaworm.Config
-	for _, size := range sizes {
-		for _, load := range Fig7Loads {
-			cfg := baseConfig(opt)
-			cfg.MsgFlits = size
-			cfg.Load = load
-			cfg.RTShare = 1.0
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
+	labels := make([]string, len(sizes))
 	for i, size := range sizes {
-		fig.Series = append(fig.Series, Series{
-			Label:  fmt.Sprintf("%d flits", size),
-			Points: pts[i*len(Fig7Loads) : (i+1)*len(Fig7Loads)],
-		})
+		labels[i] = fmt.Sprintf("%d flits", size)
 	}
-	return fig, nil
+	return seriesSweep(opt, fig, labels, Fig7Loads, func(cfg *mediaworm.Config, s int) {
+		cfg.MsgFlits = sizes[s]
+	})
 }
 
 // Fig8Loads are the loads of the wormhole/PCS comparison (100 Mb/s links).
@@ -273,7 +189,7 @@ var Fig8Loads = []float64{0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90}
 
 // Fig8 — MediaWorm vs PCS (8×8 switch, 100 Mb/s, 24 VCs). PCS reserves a
 // VC per stream and stays jitter-free slightly longer; MediaWorm accepts
-// every stream.
+// every stream. Both series run the same cells.
 func Fig8(opt Options) (*Figure, error) {
 	opt = opt.normalized()
 	fig := &Figure{
@@ -281,39 +197,23 @@ func Fig8(opt Options) (*Figure, error) {
 		Title:  "MediaWorm vs PCS (8×8, 100 Mb/s, 24 VCs)",
 		XLabel: "load",
 	}
-	var wormCfgs []mediaworm.Config
+	var cfgs []mediaworm.Config
 	for _, load := range Fig8Loads {
 		cfg := baseConfig(opt)
 		cfg.LinkBandwidthBps = 100e6
 		cfg.VCs = 24
 		cfg.Load = load
-		cfg.RTShare = 1.0
-		wormCfgs = append(wormCfgs, cfg)
+		cfgs = append(cfgs, cfg)
 	}
-	wormPts, err := runGrid(opt, wormCfgs)
+	wormPts, err := runGrid(opt, cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("fig8 wormhole: %w", err)
 	}
-	fig.Series = append(fig.Series, Series{Label: "wormhole", Points: wormPts})
-
-	base := baseConfig(opt)
-	var pcsCfgs []mediaworm.PCSConfig
-	for _, load := range Fig8Loads {
-		cfg := mediaworm.DefaultPCSConfig()
-		cfg.FrameBytes = base.FrameBytes
-		cfg.FrameBytesSD = base.FrameBytesSD
-		cfg.FrameInterval = base.FrameInterval
-		cfg.Warmup = base.Warmup
-		cfg.Measure = base.Measure
-		cfg.Seed = opt.Seed
-		cfg.Load = load
-		pcsCfgs = append(pcsCfgs, cfg)
-	}
-	pcsPts, err := runPCSGrid(opt, pcsCfgs)
+	pcsPts, err := runPCSGrid(opt, cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("fig8 PCS: %w", err)
 	}
-	fig.Series = append(fig.Series, Series{Label: "PCS", Points: pcsPts})
+	fig.Series = []Series{{Label: "wormhole", Points: wormPts}, {Label: "PCS", Points: pcsPts}}
 	return fig, nil
 }
 
@@ -375,7 +275,6 @@ var (
 // Fig9 — the (2×2) fat-mesh: d, σd and best-effort latency versus mix at
 // each load. Series are loads; rows are mixes, matching the paper's plots.
 func Fig9(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "fig9",
 		Title:  "(2×2) fat-mesh: VBR jitter and best-effort latency",
@@ -383,27 +282,10 @@ func Fig9(opt Options) (*Figure, error) {
 		XIsMix: true,
 		Notes:  "best-effort latency per point is printed by cmd/paperfigs alongside (Fig. 9(c))",
 	}
-	var cfgs []mediaworm.Config
-	for _, load := range Fig9Loads {
-		for _, mix := range Fig9Mixes {
-			cfg := baseConfig(opt)
-			cfg.Topology = mediaworm.FatMesh2x2
-			cfg.Load = load
-			cfg.RTShare = mix
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
-	}
-	for i, load := range Fig9Loads {
-		fig.Series = append(fig.Series, Series{
-			Label:  fmt.Sprintf("load %.2f", load),
-			Points: pts[i*len(Fig9Mixes) : (i+1)*len(Fig9Mixes)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, loadLabels(Fig9Loads), Fig9Mixes, func(cfg *mediaworm.Config, s int) {
+		cfg.Topology = mediaworm.FatMesh2x2
+		cfg.Load = Fig9Loads[s]
+	})
 }
 
 // Fig9BestEffort renders Fig. 9(c): the fat-mesh's best-effort latency (µs)

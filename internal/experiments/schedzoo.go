@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"mediaworm"
-)
+import "mediaworm"
 
 // SchedZoo experiments: the scheduler zoo beyond the paper's three
 // disciplines. The paper compares FIFO, round-robin and Virtual Clock;
@@ -44,12 +40,8 @@ func SchedZoo(opt Options) (*Figure, error) {
 		XLabel: "load",
 		ShowBE: true,
 	}
-	labels := make([]string, len(ZooPolicies))
-	for i, p := range ZooPolicies {
-		labels[i] = string(p)
-	}
-	return ablationSweep(opt, fig, labels, func(cfg *mediaworm.Config, v int) {
-		zooConfig(cfg, ZooPolicies[v])
+	return seriesSweep(opt, fig, names(ZooPolicies), AblationLoads, func(cfg *mediaworm.Config, s int) {
+		zooConfig(cfg, ZooPolicies[s])
 	})
 }
 
@@ -63,7 +55,6 @@ var schedZooSmokeLoads = []float64{0.80, 0.90}
 // CSV rendering is pinned as a golden file
 // (internal/experiments/testdata/schedzoo_smoke.csv).
 func SchedZooSmoke(opt Options) (*Figure, error) {
-	opt = opt.normalized()
 	fig := &Figure{
 		ID:     "schedzoo-smoke",
 		Title:  "Scheduler zoo smoke grid (80:20 mix, RT weight 3:1, policing on)",
@@ -71,25 +62,8 @@ func SchedZooSmoke(opt Options) (*Figure, error) {
 		ShowBE: true,
 		Notes:  "CI gate: reduced grid with injection policing armed; pinned as a golden CSV",
 	}
-	var cfgs []mediaworm.Config
-	for _, p := range ZooPolicies {
-		for _, load := range schedZooSmokeLoads {
-			cfg := baseConfig(opt)
-			cfg.Load = load
-			zooConfig(&cfg, p)
-			cfg.Policing.Enabled = true
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := runGrid(opt, cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", fig.ID, err)
-	}
-	for v, p := range ZooPolicies {
-		fig.Series = append(fig.Series, Series{
-			Label:  string(p),
-			Points: pts[v*len(schedZooSmokeLoads) : (v+1)*len(schedZooSmokeLoads)],
-		})
-	}
-	return fig, nil
+	return seriesSweep(opt, fig, names(ZooPolicies), schedZooSmokeLoads, func(cfg *mediaworm.Config, s int) {
+		zooConfig(cfg, ZooPolicies[s])
+		cfg.Policing.Enabled = true
+	})
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // This file is the bridge between the figure definitions and the parallel
-// executor in internal/runner. Every sweep flows through runGrid (wormhole
-// points) or runPCSGrid (the PCS baseline): cells run across a bounded
-// worker pool, results are reassembled positionally, and the per-cell seed
-// of each replica derives from (Options.Seed, cell index, replica index) —
-// so output is byte-identical at any Options.Parallel setting.
+// executor in internal/runner. Every sweep flows through runCells, by way of
+// runGrid (wormhole points) or runPCSGrid (the PCS baseline): cells run
+// across a bounded worker pool, results are reassembled positionally, and
+// the per-cell seed of each replica derives from (Options.Seed, cell index,
+// replica index) — so output is byte-identical at any Options.Parallel
+// setting.
 //
 // Progress and TraceSink are emitted from the collector (the calling
 // goroutine) in grid order as the completed prefix advances, never from
@@ -62,11 +63,78 @@ func replicaSuffix(rep int) string {
 	return fmt.Sprintf(" rep=%d", rep)
 }
 
-// runGrid executes one wormhole simulation per grid cell (in the given
-// order), expanding each cell into opt.Replicas independent-seed replicas,
-// and reduces the replicas of each cell into a single Point carrying the
-// replica mean and 95% confidence half-widths.
+// seriesSweep runs one series per label over the x values xs through
+// runGrid and appends the series to fig. Every cell starts from
+// baseConfig(opt) with x as its load, or as its real-time share when the
+// figure's rows are mixes (Figure.XIsMix); mutate then applies the series'
+// own settings.
+func seriesSweep(opt Options, fig *Figure, labels []string, xs []float64, mutate func(cfg *mediaworm.Config, series int)) (*Figure, error) {
+	opt = opt.normalized()
+	var cfgs []mediaworm.Config
+	for s := range labels {
+		for _, x := range xs {
+			cfg := baseConfig(opt)
+			if fig.XIsMix {
+				cfg.RTShare = x
+			} else {
+				cfg.Load = x
+			}
+			mutate(&cfg, s)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	pts, err := runGrid(opt, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fig.ID, err)
+	}
+	for s, label := range labels {
+		fig.Series = append(fig.Series, Series{Label: label, Points: pts[s*len(xs) : (s+1)*len(xs)]})
+	}
+	return fig, nil
+}
+
+// names labels one series per value of a string-named setting.
+func names[T ~string](values []T) []string {
+	labels := make([]string, len(values))
+	for i, v := range values {
+		labels[i] = string(v)
+	}
+	return labels
+}
+
+// loadLabels labels one series per load, for figures whose rows are mixes.
+func loadLabels(loads []float64) []string {
+	labels := make([]string, len(loads))
+	for i, load := range loads {
+		labels[i] = fmt.Sprintf("load %.2f", load)
+	}
+	return labels
+}
+
+// runGrid executes one wormhole simulation per grid cell.
 func runGrid(opt Options, cfgs []mediaworm.Config) ([]Point, error) {
+	return runCells(opt, cfgs, mediaworm.Run)
+}
+
+// runPCSGrid executes one PCS simulation per grid cell. PCS carries no
+// best-effort traffic and no trace, so its frame-interval measurements are
+// the whole of the Result a Point reads.
+func runPCSGrid(opt Options, cfgs []mediaworm.Config) ([]Point, error) {
+	return runCells(opt, cfgs, func(cfg mediaworm.Config) (mediaworm.Result, error) {
+		res, err := mediaworm.RunPCS(cfg)
+		return mediaworm.Result{
+			MeanDeliveryIntervalMs:   res.MeanDeliveryIntervalMs,
+			StdDevDeliveryIntervalMs: res.StdDevDeliveryIntervalMs,
+			FrameIntervals:           res.FrameIntervals,
+		}, err
+	})
+}
+
+// runCells runs every grid cell (in the given order) through run, expanding
+// each cell into opt.Replicas independent-seed replicas, and reduces the
+// replicas of each cell into a single Point carrying the replica mean and
+// 95% confidence half-widths.
+func runCells(opt Options, cfgs []mediaworm.Config, run func(mediaworm.Config) (mediaworm.Result, error)) ([]Point, error) {
 	opt = opt.normalized()
 	reps := opt.Replicas
 	jobs := len(cfgs) * reps
@@ -80,64 +148,29 @@ func runGrid(opt Options, cfgs []mediaworm.Config) ([]Point, error) {
 				cfg.Seed = rng.DeriveSeed(cfg.Seed, uint64(cell), uint64(rep))
 			}
 			start := opt.Clock()
-			res, err := mediaworm.Run(cfg)
+			res, err := run(cfg)
 			if err != nil {
 				return Point{}, err
 			}
 			aux[i] = emission{
-				label: fmt.Sprintf("load=%.2f mix=%.0f:%.0f",
-					cfg.Load, cfg.RTShare*100, (1-cfg.RTShare)*100) + replicaSuffix(rep),
+				label:   cellLabel(cfg) + replicaSuffix(rep),
 				elapsed: opt.Clock().Sub(start),
 			}
 			if res.Trace != nil {
 				aux[i].trace = res.Trace
-				aux[i].traceLabel = fmt.Sprintf("load=%.2f mix=%.0f:%.0f policy=%s",
-					cfg.Load, cfg.RTShare*100, (1-cfg.RTShare)*100, cfg.Policy) + replicaSuffix(rep)
+				aux[i].traceLabel = cellLabel(cfg) + " policy=" + string(cfg.Policy) + replicaSuffix(rep)
 			}
 			return pointFrom(cfg, res), nil
 		})
 	if err != nil {
-		return nil, gridError(err, reps, func(cell int) string {
-			cfg := cfgs[cell]
-			return fmt.Sprintf("load=%.2f mix=%.0f:%.0f", cfg.Load, cfg.RTShare*100, (1-cfg.RTShare)*100)
-		})
+		return nil, gridError(err, reps, func(cell int) string { return cellLabel(cfgs[cell]) })
 	}
 	return poolGrid(results, len(cfgs), reps), nil
 }
 
-// runPCSGrid mirrors runGrid for the PCS baseline (no tracing: the PCS model
-// predates the observability subsystem).
-func runPCSGrid(opt Options, cfgs []mediaworm.PCSConfig) ([]Point, error) {
-	opt = opt.normalized()
-	reps := opt.Replicas
-	jobs := len(cfgs) * reps
-	results, err := runner.Map(context.Background(), jobs,
-		runner.Options{Workers: opt.Parallel},
-		func(_ context.Context, i int) (Point, error) {
-			cell, rep := i/reps, i%reps
-			cfg := cfgs[cell]
-			if rep > 0 {
-				cfg.Seed = rng.DeriveSeed(cfg.Seed, uint64(cell), uint64(rep))
-			}
-			res, err := mediaworm.RunPCS(cfg)
-			if err != nil {
-				return Point{}, err
-			}
-			norm := paperIntervalMs / (cfg.FrameInterval.Seconds() * 1000)
-			return Point{
-				Load:    cfg.Load,
-				RTShare: 1.0,
-				DMs:     res.MeanDeliveryIntervalMs * norm,
-				SDMs:    res.StdDevDeliveryIntervalMs * norm,
-				Samples: res.FrameIntervals,
-			}, nil
-		})
-	if err != nil {
-		return nil, gridError(err, reps, func(cell int) string {
-			return fmt.Sprintf("load=%.2f", cfgs[cell].Load)
-		})
-	}
-	return poolGrid(results, len(cfgs), reps), nil
+// cellLabel names a grid cell by its operating point.
+func cellLabel(cfg mediaworm.Config) string {
+	return fmt.Sprintf("load=%.2f mix=%.0f:%.0f", cfg.Load, cfg.RTShare*100, (1-cfg.RTShare)*100)
 }
 
 // gridError rewrites a runner failure in sweep vocabulary: which cell (by

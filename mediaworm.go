@@ -21,7 +21,6 @@ package mediaworm
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"mediaworm/internal/core"
 	"mediaworm/internal/flit"
@@ -149,68 +148,38 @@ func Run(cfg Config) (Result, error) {
 	return s.Finish()
 }
 
-// PCSConfig describes a pipelined-circuit-switching run (§3.5, Fig. 8):
-// an 8×8 switch at 100 Mb/s with 24 VCs per channel in the paper.
-type PCSConfig struct {
-	Ports, VCs       int
-	LinkBandwidthBps float64
-	FlitBits         int
-	// PipeLatency is the switch pipeline depth in cycles.
-	PipeLatency int
-	// Load is the provisioned input-link load; streams are established with
-	// searching VC selection before traffic starts.
-	Load float64
-	// GroupFlits is the injection burst size (the wormhole message size
-	// without the header, since PCS sends no per-message headers).
-	GroupFlits               int
-	FrameBytes, FrameBytesSD float64
-	FrameInterval            time.Duration
-	Warmup, Measure          time.Duration
-	Seed                     uint64
-}
+// pcsPipeLatency is the PCS switch's pipeline depth in cycles.
+const pcsPipeLatency = 5
 
-// DefaultPCSConfig returns the paper's Fig. 8 PCS setup.
-func DefaultPCSConfig() PCSConfig {
-	return PCSConfig{
-		Ports:            8,
-		VCs:              24,
-		LinkBandwidthBps: 100e6,
-		FlitBits:         32,
-		PipeLatency:      5,
-		Load:             0.7,
-		GroupFlits:       20,
-		FrameBytes:       16666,
-		FrameBytesSD:     3333,
-		FrameInterval:    33 * time.Millisecond,
-		Warmup:           66 * time.Millisecond,
-		Measure:          330 * time.Millisecond,
-		Seed:             1,
+// RunPCS runs the pipelined-circuit-switching router of §3.5 (Fig. 8) on
+// the configuration's switch and streams: it provisions connections to the
+// target load and measures frame delivery jitter over the established
+// circuits. It reads Ports, VCs, LinkBandwidthBps and FlitBits for the
+// switch; Load, MsgFlits (the flits per injected group: PCS sends no
+// per-message header), FrameBytes, FrameBytesSD and FrameInterval for the
+// streams; and Warmup, Measure and Seed. The wormhole-router fields do not
+// apply to the PCS switch. RunPCS refuses a configuration whose workload PCS
+// cannot generate: a topology other than SingleSwitch, best-effort traffic
+// (RTShare below 1), and any real-time class other than normal-draw VBR.
+func RunPCS(cfg Config) (PCSResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return PCSResult{}, err
 	}
-}
-
-// Scale shrinks the PCS video time base, mirroring Config.Scale.
-func (c PCSConfig) Scale(f float64) PCSConfig {
-	if f <= 0 || f > 1 {
-		return c
-	}
-	c.FrameBytes *= f
-	c.FrameBytesSD *= f
-	c.FrameInterval = time.Duration(float64(c.FrameInterval) * f)
-	c.Warmup = time.Duration(float64(c.Warmup) * f)
-	c.Measure = time.Duration(float64(c.Measure) * f)
-	return c
-}
-
-// RunPCS provisions connections to the target load and measures frame
-// delivery jitter over the established circuits.
-func RunPCS(cfg PCSConfig) (PCSResult, error) {
-	if cfg.Ports < 2 || cfg.VCs < 1 || cfg.LinkBandwidthBps <= 0 || cfg.Load <= 0 {
-		return PCSResult{}, fmt.Errorf("mediaworm: invalid PCS config %+v", cfg)
+	switch {
+	case cfg.Topology != SingleSwitch:
+		return PCSResult{}, fmt.Errorf("mediaworm: PCS runs on %s only, not %s", SingleSwitch, cfg.Topology)
+	case cfg.RTShare != 1:
+		return PCSResult{}, fmt.Errorf("mediaworm: PCS carries no best-effort traffic (RTShare = %v)", cfg.RTShare)
+	case cfg.Class != VBR:
+		return PCSResult{}, fmt.Errorf("mediaworm: PCS streams are VBR, not %s", cfg.Class)
+	case cfg.VBRModel != "" && cfg.VBRModel != VBRNormal:
+		return PCSResult{}, fmt.Errorf("mediaworm: PCS draws VBR frames from the %s model, not %s", VBRNormal, cfg.VBRModel)
 	}
 	eng := sim.NewEngine()
-	period := sim.Time(float64(cfg.FlitBits) / cfg.LinkBandwidthBps * 1e9)
 	sw, err := pcs.NewSwitch(eng, pcs.Config{
-		Ports: cfg.Ports, VCs: cfg.VCs, Period: period, PipeLatency: cfg.PipeLatency,
+		Ports: cfg.Ports, VCs: cfg.VCs,
+		Period:      sim.Time(cfg.CyclePeriod().Nanoseconds()),
+		PipeLatency: pcsPipeLatency,
 	})
 	if err != nil {
 		return PCSResult{}, err
@@ -230,7 +199,7 @@ func RunPCS(cfg PCSConfig) (PCSResult, error) {
 	for i, c := range conns {
 		v := &pcs.VBRSource{
 			FrameBytes: cfg.FrameBytes, FrameBytesSD: cfg.FrameBytesSD,
-			Interval: interval, GroupFlits: cfg.GroupFlits,
+			Interval: interval, GroupFlits: cfg.MsgFlits,
 			FlitBits: cfg.FlitBits, Stop: stop,
 		}
 		v.SetRand(src.Split(uint64(i)))
