@@ -19,7 +19,9 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -147,17 +149,19 @@ func main() {
 	jobs := *steps * reps
 
 	// The manifest journals each finished cell's figures; it is keyed by a
-	// fingerprint of every grid-shaping flag so a stale or foreign journal is
-	// refused instead of silently poisoning the sweep. JSON round-trips
-	// float64 exactly, so a resumed sweep's CSV is byte-identical to an
+	// fingerprint of the built grid so a stale or foreign journal is refused
+	// instead of silently poisoning the sweep. JSON round-trips float64
+	// exactly, so a resumed sweep's CSV is byte-identical to an
 	// uninterrupted one.
 	var man *runner.Manifest
 	if *resume && *manifestPath == "" {
 		fatal(errors.New("-resume requires -manifest"))
 	}
 	if *manifestPath != "" {
-		key := fmt.Sprintf("param=%s from=%g to=%g steps=%d load=%g mix=%g vcs=%d policy=%s topo=%s scale=%g intervals=%d seed=%d replicas=%d",
-			*param, *from, *to, *steps, *load, *mix, *vcs, *policy, *topo, *scale, *intervals, *seed, reps)
+		key, err := manifestKey(*param, reps, cfgs)
+		if err != nil {
+			fatal(err)
+		}
 		if !*resume {
 			if err := os.Remove(*manifestPath); err != nil && !os.IsNotExist(err) {
 				fatal(err)
@@ -320,6 +324,24 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// manifestKey fingerprints everything that shapes a sweep's rows: every
+// cell's configuration as built from the flags, the swept parameter and the
+// replica count. Trace settings are cleared first: they choose artifact
+// files, not results.
+func manifestKey(param string, reps int, cfgs []mediaworm.Config) (string, error) {
+	h := sha256.New()
+	fmt.Fprintf(h, "param=%s replicas=%d\n", param, reps)
+	for _, cfg := range cfgs {
+		cfg.Trace = mediaworm.TraceConfig{}
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			return "", err
+		}
+		h.Write(append(b, '\n'))
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // analyticBound prices one sweep cell's worst-case end-to-end delay with the
