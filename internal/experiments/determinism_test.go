@@ -24,11 +24,11 @@ func miniSweep(t *testing.T, opt Options) (string, string) {
 			cfg.Policy = policy
 			cfg.Load = load
 			cfg.RTShare = 0.8
-			p, err := runPoint(cfg, opt)
+			pts, err := runGrid(opt, []mediaworm.Config{cfg})
 			if err != nil {
 				t.Fatalf("%s load %v: %v", policy, load, err)
 			}
-			s.Points = append(s.Points, p)
+			s.Points = append(s.Points, pts[0])
 		}
 		fig.Series = append(fig.Series, s)
 	}

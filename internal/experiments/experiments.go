@@ -257,14 +257,3 @@ func baseConfig(opt Options) mediaworm.Config {
 	cfg.Trace = opt.Trace
 	return cfg
 }
-
-// runPoint executes one config as a single-cell grid: a convenience for
-// callers that sweep nothing. Replication, progress and trace emission all
-// behave exactly as in a full runGrid sweep.
-func runPoint(cfg mediaworm.Config, opt Options) (Point, error) {
-	pts, err := runGrid(opt, []mediaworm.Config{cfg})
-	if err != nil {
-		return Point{}, err
-	}
-	return pts[0], nil
-}

@@ -1,6 +1,6 @@
-// Package report renders experiment results to machine-readable CSV and to
-// a human-readable Markdown report, so regenerated figures can be diffed,
-// plotted, and committed alongside EXPERIMENTS.md.
+// Package report renders experiment results to machine-readable CSV, so
+// regenerated figures can be diffed, plotted, and committed alongside
+// EXPERIMENTS.md.
 package report
 
 import (
@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"mediaworm/internal/artifact"
 	"mediaworm/internal/experiments"
@@ -180,46 +179,4 @@ func writeFile(dir, id string, render func(io.Writer) error) (string, error) {
 		return "", fmt.Errorf("report: rendering %s: %w", id, err)
 	}
 	return path, nil
-}
-
-// Markdown renders a figure as a GitHub-flavored Markdown table.
-func Markdown(fig *experiments.Figure, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "### %s: %s\n\n", fig.ID, fig.Title); err != nil {
-		return err
-	}
-	if len(fig.Series) == 0 {
-		_, err := fmt.Fprintln(w, "_(empty)_")
-		return err
-	}
-	header := []string{fig.XLabel}
-	for _, s := range fig.Series {
-		header = append(header, s.Label+" d (ms)", s.Label+" σd (ms)")
-	}
-	writeMDRow(w, header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeMDRow(w, sep)
-	for i := range fig.Series[0].Points {
-		row := []string{xLabelValue(fig, fig.Series[0].Points[i])}
-		for _, s := range fig.Series {
-			p := s.Points[i]
-			row = append(row, fmt.Sprintf("%.2f", p.DMs), fmt.Sprintf("%.3f", p.SDMs))
-		}
-		writeMDRow(w, row)
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-func xLabelValue(fig *experiments.Figure, p experiments.Point) string {
-	if fig.XIsMix {
-		return fmt.Sprintf("%d:%d", int(p.RTShare*100+0.5), int((1-p.RTShare)*100+0.5))
-	}
-	return fmt.Sprintf("%.2f", p.Load)
-}
-
-func writeMDRow(w io.Writer, cells []string) {
-	fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
 }

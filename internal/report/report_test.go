@@ -125,36 +125,3 @@ func TestWriteFigureFile(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMarkdown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Markdown(sampleFigure(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"### figX: sample", "| load |", "| 0.60 |", "| --- |", "8.000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
-		}
-	}
-	empty := &experiments.Figure{ID: "e", Title: "none"}
-	buf.Reset()
-	if err := Markdown(empty, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "_(empty)_") {
-		t.Fatal("empty figure")
-	}
-}
-
-func TestMarkdownMixAxis(t *testing.T) {
-	fig := sampleFigure()
-	fig.XIsMix = true
-	var buf bytes.Buffer
-	if err := Markdown(fig, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "| 80:20 |") {
-		t.Fatalf("mix row missing:\n%s", buf.String())
-	}
-}
