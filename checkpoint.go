@@ -504,7 +504,7 @@ func RestoreSim(in io.Reader) (*Sim, error) {
 	r.End()
 
 	r.Begin(secFabric)
-	if err := s.net.Fabric.RestoreState(r); err != nil {
+	if err := s.net.Fabric.RestoreState(r, tbl); err != nil {
 		return nil, err
 	}
 	r.End()

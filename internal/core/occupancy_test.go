@@ -1,0 +1,147 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"mediaworm/internal/flit"
+	"mediaworm/internal/obs"
+	"mediaworm/internal/sched"
+	"mediaworm/internal/sim"
+	"mediaworm/internal/snapshot"
+)
+
+// step advances r one cycle and audits its occupancy masks against the VC
+// tables, so a stage that forgets to keep a bit in step fails at the cycle
+// it happens.
+func step(t *testing.T, r *Router, now sim.Time) {
+	t.Helper()
+	r.Step(now)
+	if err := r.CheckOccupancy(); err != nil {
+		t.Fatalf("t=%d: %v", now, err)
+	}
+}
+
+// TestOccupancyThroughSetLinkUpMidWorm takes an output link down while a
+// worm straddles it — flits staged on the link, the output VC held, more
+// flits buffered at the input — and audits the masks from the failure
+// until the dead worm has unravelled.
+func TestOccupancyThroughSetLinkUpMidWorm(t *testing.T) {
+	cfg := testConfig(sched.VirtualClock)
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Connect(0, &capture{}, true)
+	out := &capture{}
+	r.Connect(1, out, false) // transit port: the worm holds its output VC
+	worm := msg(1, 1, 0, 30, 100)
+	now := period
+	for seq := 0; seq < 12; seq++ {
+		r.Deliver(0, 0, flit.Flit{Msg: worm, Seq: seq, Enq: now})
+		step(t, r, now)
+		now += period
+	}
+	if len(out.flits) == 0 || r.outv[r.nvc].stage.empty() || r.outv[r.nvc].busy != worm {
+		t.Fatalf("worm not straddling the link: %d sent, staged %d, holder %v",
+			len(out.flits), r.outv[r.nvc].stage.len(), r.outv[r.nvc].busy)
+	}
+	r.SetLinkUp(1, false)
+	if err := r.CheckOccupancy(); err != nil {
+		t.Fatalf("after SetLinkUp: %v", err)
+	}
+	if !worm.Dead || !r.ownKilled {
+		t.Fatalf("link failure left worm dead=%v, kill flag %v", worm.Dead, r.ownKilled)
+	}
+	for i := 0; i < 10; i++ {
+		step(t, r, now)
+		now += period
+	}
+	if !r.Quiesced() || !r.idle() {
+		t.Fatalf("router not quiesced after the dead worm unravelled")
+	}
+	if got := uint64(len(out.flits)) + r.Stats().FlitsDropped; got != 12 {
+		t.Fatalf("sent %d + dropped %d != 12 delivered flits", len(out.flits), r.Stats().FlitsDropped)
+	}
+}
+
+// TestOccupancyRebuiltOnRestore checkpoints a busy router — several worms
+// requesting, granted and staged — and restores it into a fresh router:
+// the derived masks must come back equal to the originals, and both
+// routers must keep them in step as they continue.
+func TestOccupancyRebuiltOnRestore(t *testing.T) {
+	cfg := reqConfig()
+	cfg.Ports = 3
+	a, _ := build(t, cfg)
+	for v := 0; v < 4; v++ {
+		deliver(a, v%2, v, msg(uint64(v+1), 2, 0, 6, 100), period)
+	}
+	now := period
+	for i := 0; i < 5; i++ {
+		step(t, a, now)
+		now += period
+	}
+	if a.idle() {
+		t.Fatal("router drained before the checkpoint")
+	}
+	tbl := flit.NewMsgTable()
+	a.CollectMessages(tbl)
+	w := snapshot.NewWriter()
+	if err := tbl.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.EncodeState(w, tbl); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtbl, err := flit.DecodeMsgTable(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := build(t, cfg)
+	if err := b.RestoreState(rd, rtbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CheckOccupancy(); err != nil {
+		t.Fatalf("after RestoreState: %v", err)
+	}
+	for i := range a.inMask {
+		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] {
+			t.Fatalf("mask word %d: restored in %#x out %#x, original in %#x out %#x",
+				i, b.inMask[i], b.outMask[i], a.inMask[i], a.outMask[i])
+		}
+	}
+	for i := 0; i < 40; i++ {
+		step(t, a, now)
+		step(t, b, now)
+		now += period
+	}
+	if !a.Quiesced() || !b.Quiesced() {
+		t.Fatal("original or restored router did not drain")
+	}
+}
+
+// TestKillRaisesTheSharedFlag pins the kill flag's wiring: a router built
+// alone raises its own flag, and once pointed at a shared flag — as a
+// fabric's AddRouter does — its kills raise that one instead.
+func TestKillRaisesTheSharedFlag(t *testing.T) {
+	r, _ := build(t, testConfig(sched.VirtualClock))
+	r.kill(0, msg(1, 1, 0, 2, 100), obs.CauseTimeout)
+	if !r.ownKilled {
+		t.Fatal("standalone router's kill left its own flag down")
+	}
+	var shared bool
+	s, _ := build(t, testConfig(sched.VirtualClock))
+	s.ShareKillFlag(&shared)
+	s.kill(0, msg(2, 1, 0, 2, 100), obs.CauseTimeout)
+	if !shared || s.ownKilled {
+		t.Fatalf("kill raised shared=%v own=%v, want the shared flag only", shared, s.ownKilled)
+	}
+}

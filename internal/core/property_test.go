@@ -131,6 +131,9 @@ func TestPropertyConservationAndOrder(t *testing.T) {
 				progressed = true
 			}
 			router.Step(now)
+			if err := router.CheckOccupancy(); err != nil {
+				t.Fatalf("trial %d cycle %d: %v", trial, cycle, err)
+			}
 			now += period
 			if progressed || !router.Quiesced() {
 				idle = 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mediaworm/internal/flit"
+	"mediaworm/internal/obs"
 	"mediaworm/internal/sched"
 )
 
@@ -52,15 +53,15 @@ func TestRemoveRequestCompactsAndZeroes(t *testing.T) {
 	}
 	// All four headers are visible: stage 2 submits four requests for
 	// (port 1, VC 0); stage 3 grants the first and keeps three.
-	r.Step(3 * period)
+	step(t, r, 3*period)
 	if got := reqIdxs(r, 1); len(got) != 3 {
 		t.Fatalf("queued requests = %d, want 3", len(got))
 	}
 	nodes := len(r.reqNodes)
 
-	msgs[1].Kill()
-	msgs[2].Kill()
-	r.Step(4 * period)
+	r.kill(0, msgs[1], obs.CauseTimeout)
+	r.kill(0, msgs[2], obs.CauseTimeout)
+	step(t, r, 4*period)
 
 	live := reqIdxs(r, 1)
 	if len(live) != 1 {
@@ -116,13 +117,13 @@ func TestRetiredRequestCoexistsWithResubmission(t *testing.T) {
 	deliver(r, 0, 0, blocker, period)
 	t1 := deliver(r, 0, 1, dead, period)
 	deliver(r, 0, 1, next, t1) // queued behind dead on the same VC
-	r.Step(4 * period)         // blocker granted; dead's request queued
+	step(t, r, 4*period)       // blocker granted; dead's request queued
 	if got := reqIdxs(r, 1); len(got) != 1 {
 		t.Fatalf("queued requests = %d, want 1", len(got))
 	}
 
-	dead.Kill()
-	r.Step(5 * period) // reap retires dead's entry, next's header resubmits
+	r.kill(0, dead, obs.CauseTimeout)
+	step(t, r, 5*period) // reap retires dead's entry, next's header resubmits
 	live := reqIdxs(r, 1)
 	if len(live) != 1 || live[0] != 1 || r.inv[1].headMsg != next {
 		t.Fatalf("live request not preserved across retirement: idxs=%v head=%v", live, r.inv[1].headMsg)
@@ -151,13 +152,16 @@ func TestSetLinkUpZeroesClearedRequests(t *testing.T) {
 	waiter := msg(2, 1, 0, 2, 100)
 	deliver(r, 0, 0, blocker, period)
 	deliver(r, 0, 1, waiter, period)
-	r.Step(3 * period) // blocker granted on port 1, waiter queued
+	step(t, r, 3*period) // blocker granted on port 1, waiter queued
 	if got := reqIdxs(r, 1); len(got) != 1 {
 		t.Fatalf("queued requests = %d, want 1", len(got))
 	}
 
 	freeBefore := freeCount(r)
 	r.SetLinkUp(1, false)
+	if err := r.CheckOccupancy(); err != nil {
+		t.Fatalf("after SetLinkUp: %v", err)
+	}
 	if got := reqIdxs(r, 1); len(got) != 0 {
 		t.Fatalf("request queue not cleared on link down: %d", len(got))
 	}

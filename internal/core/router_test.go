@@ -77,11 +77,15 @@ func deliver(r *Router, port, vc int, m *flit.Message, t0 sim.Time) sim.Time {
 	return t
 }
 
-// run steps the router n cycles starting at time start.
+// run steps the router n cycles starting at time start, auditing the
+// occupancy masks after each one (a mismatch panics: run has no *T).
 func run(r *Router, start sim.Time, n int) sim.Time {
 	t := start
 	for i := 0; i < n; i++ {
 		r.Step(t)
+		if err := r.CheckOccupancy(); err != nil {
+			panic(err)
+		}
 		t += period
 	}
 	return t

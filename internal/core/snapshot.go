@@ -13,7 +13,8 @@ import (
 // a snapshot carries only the mutable state: buffered flits, per-VC worm
 // progress, the FCFS request queues, arbiter state, virtual clocks, fault
 // flags, and counters. Scratch buffers (candidate slices, claim maps) are
-// per-cycle and never live across an event, so they are not state. The wire
+// per-cycle and never live across an event, so they are not state; nor are
+// the occupancy masks, which a restore derives from the VC tables. The wire
 // format is layout-independent: the struct-of-arrays tables serialize in
 // the same (port, vc) nesting order as the original per-object layout, and
 // the request arena lists serialize as their FIFO walk.
@@ -241,6 +242,13 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			}
 			sched.RestoreVClock(rd, &ov.clk)
 		}
+	}
+	// The occupancy masks are derived from the VC tables just restored.
+	for i := range r.inv {
+		r.markIn(&r.inv[i])
+	}
+	for i := range r.outv {
+		r.markOut(i/r.nvc, i%r.nvc)
 	}
 	return rd.Err()
 }

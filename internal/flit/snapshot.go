@@ -74,6 +74,16 @@ func (t *MsgTable) Get(id uint64) (*Message, error) {
 	return m, nil
 }
 
+// AnyDead reports whether any registered message has been killed.
+func (t *MsgTable) AnyDead() bool {
+	for _, id := range t.ids {
+		if t.byID[id].Dead {
+			return true
+		}
+	}
+	return false
+}
+
 // Len reports the number of registered messages.
 func (t *MsgTable) Len() int { return len(t.ids) }
 

@@ -94,7 +94,7 @@ func TestFlitConservationWithKilledWorm(t *testing.T) {
 		if victim.Dead {
 			t.Fatal("victim dead before kill")
 		}
-		victim.Kill()
+		fab.Kill(victim)
 		fab.Wake()
 	})
 	eng.Drain()

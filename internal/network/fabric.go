@@ -2,7 +2,11 @@
 // links and sinks into a running fabric. It owns the cycle driver: a single
 // self-rescheduling engine event advances every router and NI one cycle at a
 // time while any flit is in flight, and goes dormant when the fabric drains,
-// so the long idle gaps between video frames cost nothing.
+// so the long idle gaps between video frames cost nothing. Within a cycle a
+// router or NI with nothing buffered returns from its step at once, and the
+// dead-worm reaping and drop reconciliation run only once the fabric's kill
+// flag records that some message was killed (Fabric.Kill, or a router's own
+// kill through the shared flag).
 package network
 
 import (
@@ -28,6 +32,11 @@ type Fabric struct {
 	lastTick sim.Time
 	tickFn   func()    //mw:snapcover — cached method value, recreated at construction
 	tickEv   sim.Event //mw:snapcover — calendar key serialized by EncodeState; re-armed via ScheduleRestored
+
+	// killed is the fabric-wide kill flag: every router shares it, NIs read
+	// it, and the first message kill raises it for good. Until then no
+	// message is dead, so nothing needs reaping and no drop reconciling.
+	killed bool //mw:snapcover — derived on restore from the message table's dead messages
 
 	// links records router-to-router wiring: output (router, port) → input
 	// (router, port). The watchdog follows it to chain blocked worms across
@@ -80,10 +89,22 @@ func NewFabric(engine *sim.Engine, period sim.Time, endpoints, vcs int) *Fabric 
 	return f
 }
 
-// AddRouter registers a router with the fabric. Routers step in registration
-// order each cycle, so registration order is part of the deterministic model.
+// AddRouter registers a router with the fabric and shares the fabric's kill
+// flag with it. Routers step in registration order each cycle, so
+// registration order is part of the deterministic model.
 func (f *Fabric) AddRouter(r *core.Router) {
+	r.ShareKillFlag(&f.killed)
 	f.Routers = append(f.Routers, r)
+}
+
+// Kill marks msg dead and raises the fabric's kill flag, so every router
+// and NI reaps its worm from the next cycle. It is the fabric's kill entry
+// point — the retransmission timeout and watchdog recovery kill through it
+// — beside each router's own kills of messages that lose their route or
+// link, which raise the same flag.
+func (f *Fabric) Kill(msg *flit.Message) {
+	msg.Kill()
+	f.killed = true
 }
 
 // AttachEndpoint wires endpoint node onto router r's port p: a fresh NI
@@ -188,13 +209,17 @@ func (f *Fabric) tick() {
 // reconcileDrops subtracts newly reaped flits (dead-message unraveling,
 // corruption, unroutable kills) from the in-flight work counter. Routers and
 // NIs own the drop counters; the fabric only reads the deltas, so every drop
-// path shares one accounting surface.
+// path shares one accounting surface. Every drop follows a kill, so before
+// the first one there is nothing to read.
 func (f *Fabric) reconcileDrops() {
 	for len(f.lastRouterDrops) < len(f.Routers) {
 		f.lastRouterDrops = append(f.lastRouterDrops, 0)
 	}
 	for len(f.lastNIDrops) < len(f.NIs) {
 		f.lastNIDrops = append(f.lastNIDrops, 0)
+	}
+	if !f.killed {
+		return
 	}
 	for i, r := range f.Routers {
 		if d := r.Stats().FlitsDropped; d != f.lastRouterDrops[i] {

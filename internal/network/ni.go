@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"mediaworm/internal/core"
 	"mediaworm/internal/flit"
 	"mediaworm/internal/obs"
@@ -57,7 +59,10 @@ type NI struct {
 	// Node is the endpoint identifier this NI injects for.
 	Node int //mw:snapcover — endpoint identity, set by newNI
 	vcs  []niVC
-	arb  sched.Arbiter
+	// backlog has bit v set while VC v's injection queue is non-empty
+	// (VCs ≤ 64), so a step visits only backlogged VCs.
+	backlog uint64 //mw:snapcover — derived from the restored queues
+	arb     sched.Arbiter
 	// cands is the arbitration scratch buffer, reused every cycle so the
 	// hot path does not allocate.
 	cands []sched.Candidate //mw:snapcover — per-cycle scratch
@@ -147,6 +152,7 @@ func (n *NI) Inject(vc int, msg *flit.Message) {
 	}
 	n.queued += msg.Flits
 	n.vcs[vc].q.push(msg)
+	n.backlog |= 1 << uint(vc)
 	if n.trc != nil {
 		n.trc.Emit(obs.Event{At: msg.Injected, Kind: obs.EvInject,
 			Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(vc),
@@ -219,20 +225,23 @@ func (n *NI) Backlog() int {
 }
 
 // Empty reports whether all injection queues have drained.
-func (n *NI) Empty() bool {
-	for v := range n.vcs {
-		if !n.vcs[v].q.empty() {
-			return false
-		}
+func (n *NI) Empty() bool { return n.backlog == 0 }
+
+// markVC recomputes VC v's backlog bit from its queue.
+func (n *NI) markVC(v int) {
+	if n.vcs[v].q.empty() {
+		n.backlog &^= 1 << uint(v)
+	} else {
+		n.backlog |= 1 << uint(v)
 	}
-	return true
 }
 
-// reap drops dead head messages from a VC's injection queue: the flits not
+// reap drops dead head messages from VC v's injection queue: the flits not
 // yet transmitted are counted in Dropped (the router reaps the ones already
 // on the wire). Dead messages deeper in the queue are reaped lazily when
 // they reach the head.
-func (n *NI) reap(nv *niVC) {
+func (n *NI) reap(v int) {
+	nv := &n.vcs[v]
 	for !nv.q.empty() && nv.q.peek().Dead {
 		msg := nv.q.pop()
 		n.Dropped += uint64(msg.Flits - nv.sent)
@@ -240,14 +249,25 @@ func (n *NI) reap(nv *niVC) {
 		nv.sent = 0
 		nv.havePending = false
 	}
+	n.markVC(v)
 }
 
-// step transmits at most one flit onto the injection link this cycle.
+// step transmits at most one flit onto the injection link this cycle,
+// visiting only backlogged VCs. An NI with none returns at once: the step
+// that emptied it already closed any open blocking span.
+//
+//mw:hotpath
 func (n *NI) step(now sim.Time) {
-	cands := n.cands[:0]
-	for v := range n.vcs {
+	if n.backlog == 0 {
+		return
+	}
+	n.cands = n.cands[:0]
+	for w := n.backlog; w != 0; w &= w - 1 {
+		v := bits.TrailingZeros64(w)
+		if n.fab.killed {
+			n.reap(v)
+		}
 		nv := &n.vcs[v]
-		n.reap(nv)
 		if nv.q.empty() || !n.router.HasCredit(n.port, v) {
 			continue
 		}
@@ -267,11 +287,10 @@ func (n *NI) step(now sim.Time) {
 					Arg: obs.TSArg(nv.pendingTS)})
 			}
 		}
-		cands = append(cands, sched.Candidate{VC: v, TS: nv.pendingTS, Enq: head.Injected, Seq: uint64(v)})
+		n.cands = append(n.cands, sched.Candidate{VC: v, TS: nv.pendingTS, Enq: head.Injected, Seq: uint64(v)})
 	}
-	n.cands = cands
-	if len(cands) == 0 {
-		if !n.Empty() {
+	if len(n.cands) == 0 {
+		if n.backlog != 0 {
 			n.Stalls++
 			n.traceStall(now, true)
 		} else {
@@ -281,7 +300,7 @@ func (n *NI) step(now sim.Time) {
 	}
 	n.traceStall(now, false)
 	n.Sent++
-	w := cands[n.arb.Pick(cands)].VC
+	w := n.cands[n.arb.Pick(n.cands)].VC
 	nv := &n.vcs[w]
 	msg := nv.q.peek()
 	f := flit.Flit{Msg: msg, Seq: nv.sent, TS: nv.pendingTS, Enq: now + n.fab.Period}
@@ -292,5 +311,6 @@ func (n *NI) step(now sim.Time) {
 	if nv.sent == msg.Flits {
 		nv.q.pop()
 		nv.sent = 0
+		n.markVC(w)
 	}
 }

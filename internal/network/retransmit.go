@@ -129,7 +129,7 @@ func (rt *Retransmitter) expire(id uint64) {
 		return
 	}
 	st.timer = sim.Event{}
-	st.msg.Kill()
+	st.ni.fab.Kill(st.msg)
 	trc := st.ni.trc
 	if trc != nil {
 		trc.Emit(obs.Event{At: rt.engine.Now(), Kind: obs.EvKill,

@@ -91,8 +91,11 @@ func (f *Fabric) EncodeState(w *snapshot.Writer) error {
 }
 
 // RestoreState overwrites the fabric's mutable state and re-arms the cycle
-// driver at its checkpointed calendar key.
-func (f *Fabric) RestoreState(r *snapshot.Reader) error {
+// driver at its checkpointed calendar key. The kill flag is derived from
+// tbl, the restored message table: a dead message there still has a worm
+// to reap.
+func (f *Fabric) RestoreState(r *snapshot.Reader, tbl *flit.MsgTable) error {
+	f.killed = tbl.AnyDead()
 	f.work = r.I64()
 	f.tickerOn = r.Bool()
 	f.lastTick = r.Time()
@@ -222,9 +225,12 @@ func (n *NI) RestoreState(r *snapshot.Reader, tbl *flit.MsgTable) error {
 			return err
 		}
 	}
-	// The backlog signal is derived state: recompute it from the restored
-	// queues rather than trusting the snapshot.
+	// The backlog signal and word are derived state: recompute them from
+	// the restored queues rather than trusting the snapshot.
 	n.queued = int(n.pendingFlits())
+	for v := range n.vcs {
+		n.markVC(v)
+	}
 	return r.Err()
 }
 

@@ -125,7 +125,7 @@ func (f *Fabric) watchdogTrip(now sim.Time) bool {
 				victim = e.Msg
 			}
 		}
-		victim.Kill()
+		f.Kill(victim)
 		report.Victim = victim.ID
 		f.DeadlocksBroken++
 		return false

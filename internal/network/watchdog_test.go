@@ -15,7 +15,10 @@ import (
 // single virtual channel: port 0 is the endpoint, port 1 the ring link to
 // the next router. With every node sending a long worm two hops clockwise,
 // each worm holds its local ring link while waiting for the next one — the
-// textbook wormhole deadlock the watchdog must detect.
+// textbook wormhole deadlock the watchdog must detect. Every event the
+// ring's engine fires is followed by an occupancy audit. Each router
+// carves its own one-router arena, so only the fabric's kill flag links
+// one router's kills to another's reaping.
 func buildRing(t *testing.T) (*sim.Engine, *network.Fabric, []*network.NI, []*network.Sink) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -56,6 +59,7 @@ func buildRing(t *testing.T) (*sim.Engine, *network.Fabric, []*network.NI, []*ne
 	for i := range routers {
 		fab.Link(routers[i], 1, routers[(i+1)%4], 1)
 	}
+	audit(t, eng, fab)
 	return eng, fab, nis, sinks
 }
 
