@@ -48,23 +48,17 @@ func TestRouterChurnZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRouterStepStreamZeroAlloc proves the streaming hot path (Deliver +
-// Step under a saturated wormhole stream) stays allocation-free with the
-// flat VC tables.
-func TestRouterStepStreamZeroAlloc(t *testing.T) {
-	r, err := New(testConfig(sched.VirtualClock))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 2; p++ {
-		r.Connect(p, devNull{}, true)
-	}
+// streamStepper returns one cycle of a saturated wormhole stream: a flit
+// of 64-flit messages into input port 0, VC 0 (credit permitting), bound
+// for port 1, then a Step. Messages recycle through a pool, so steady
+// state allocates nothing outside the router.
+func streamStepper(r *Router) func() {
 	pool := flit.NewPool(4)
 	now := sim.Time(0)
 	var id uint64
 	var m, prev *flit.Message
 	seq := 0
-	step := func() {
+	return func() {
 		if m == nil || seq == m.Flits {
 			// Recycle with one message of lag: when message k starts, k−2
 			// drained long ago (64 flits dwarf the pipeline and buffers),
@@ -89,10 +83,37 @@ func TestRouterStepStreamZeroAlloc(t *testing.T) {
 		r.Step(now)
 		now += period
 	}
+}
+
+// stepZeroAlloc builds a router from cfg with sinks on every port and
+// fails unless the stream stepper runs allocation-free after warm-up.
+func stepZeroAlloc(t *testing.T, cfg Config) {
+	t.Helper()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < cfg.Ports; p++ {
+		r.Connect(p, devNull{}, true)
+	}
+	step := streamStepper(r)
 	for i := 0; i < 200; i++ { // warm-up: scratch sizing, first messages
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Fatalf("streaming Step allocates %.3f objects/op after warm-up, want 0", allocs)
 	}
+}
+
+// TestRouterStepStreamZeroAlloc proves the streaming hot path (Deliver +
+// Step under a saturated wormhole stream) stays allocation-free with the
+// flat VC tables.
+func TestRouterStepStreamZeroAlloc(t *testing.T) {
+	stepZeroAlloc(t, testConfig(sched.VirtualClock))
+}
+
+// TestRouterStepSparseZeroAlloc is BenchmarkRouterStepSparse's allocation
+// proof: the masked stages on the 8-port, 16-VC router allocate nothing.
+func TestRouterStepSparseZeroAlloc(t *testing.T) {
+	stepZeroAlloc(t, sparseConfig())
 }
