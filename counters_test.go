@@ -60,32 +60,23 @@ func counterConfigs() []struct {
 // PortStats, and every NI's stall, send, drop and per-class injection
 // counts. They otherwise reach only the snapshot bytes, so a change to how
 // the router pipeline or the NI visits its virtual channels that skipped a
-// blocked VC would pass every Result golden. Regenerate with -update.
+// blocked VC would pass every Result golden. Each config also runs traced,
+// and must count the same: the router takes a different path through its
+// VCs when tracing, so blocking spans open in VC order. Regenerate with
+// -update.
 func TestRouterCountersGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four simulations")
+		t.Skip("runs eight simulations")
 	}
 	var b strings.Builder
 	for _, tc := range counterConfigs() {
-		s, err := NewSim(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: NewSim: %v", tc.name, err)
+		untraced := counterText(t, tc.name, tc.cfg)
+		traced := tc.cfg
+		traced.Trace.Enabled = true
+		if err := firstDiff(counterText(t, tc.name, traced), untraced); err != nil {
+			t.Fatalf("%s: traced run counts differently: %v", tc.name, err)
 		}
-		if _, err := s.Finish(); err != nil {
-			t.Fatalf("%s: Finish: %v", tc.name, err)
-		}
-		net := s.Net()
-		fmt.Fprintf(&b, "== %s\n", tc.name)
-		for i, r := range net.Routers {
-			fmt.Fprintf(&b, "router %d %+v\n", i, r.Stats())
-			for p := 0; p < r.Config().Ports; p++ {
-				fmt.Fprintf(&b, "router %d port %d %+v\n", i, p, r.PortStats(p))
-			}
-		}
-		for i, ni := range net.NIs {
-			fmt.Fprintf(&b, "ni %d stalls=%d sent=%d dropped=%d rt=%d be=%d\n",
-				i, ni.Stalls, ni.Sent, ni.Dropped, ni.RTFlits, ni.BEFlits)
-		}
+		b.WriteString(untraced)
 	}
 	const golden = "testdata/router_counters.txt"
 	if *updateCounters {
@@ -101,13 +92,48 @@ func TestRouterCountersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if got := b.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("counters diverge at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("counters have %d lines, golden %d", len(gl), len(wl))
+	if err := firstDiff(b.String(), string(want)); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// counterText runs cfg to completion and prints its router and NI counters,
+// headed by name.
+func counterText(t *testing.T, name string, cfg Config) string {
+	t.Helper()
+	s, err := NewSim(cfg)
+	if err != nil {
+		t.Fatalf("%s: NewSim: %v", name, err)
+	}
+	if _, err := s.Finish(); err != nil {
+		t.Fatalf("%s: Finish: %v", name, err)
+	}
+	var b strings.Builder
+	net := s.Net()
+	fmt.Fprintf(&b, "== %s\n", name)
+	for i, r := range net.Routers {
+		fmt.Fprintf(&b, "router %d %+v\n", i, r.Stats())
+		for p := 0; p < r.Config().Ports; p++ {
+			fmt.Fprintf(&b, "router %d port %d %+v\n", i, p, r.PortStats(p))
+		}
+	}
+	for i, ni := range net.NIs {
+		fmt.Fprintf(&b, "ni %d stalls=%d sent=%d dropped=%d rt=%d be=%d\n",
+			i, ni.Stalls, ni.Sent, ni.Dropped, ni.RTFlits, ni.BEFlits)
+	}
+	return b.String()
+}
+
+// firstDiff reports the first line where got and want differ, or nil.
+func firstDiff(got, want string) error {
+	if got == want {
+		return nil
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Errorf("counters diverge at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Errorf("counters have %d lines, want %d", len(gl), len(wl))
 }

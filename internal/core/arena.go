@@ -5,7 +5,7 @@ import "mediaworm/internal/flit"
 // Arena is a struct-of-arrays backing store for router hot state. A fabric
 // builder allocates one arena sized for all of its routers, and every router
 // carves its per-port/per-VC tables — input VCs, output VCs, flit buffer
-// rings, occupancy masks, link-health flags, port counters, and
+// rings, occupancy and phase masks, link-health flags, port counters, and
 // crossbar-request nodes — as contiguous subslices of the shared slabs.
 // The result is a handful of large allocations per fabric instead of
 // O(routers × ports × VCs) small ones, and same-kind state packed
@@ -32,7 +32,7 @@ type Arena struct {
 func arenaShape(cfg Config) (pv, flits, masks, health, reqCap int) {
 	pv = cfg.Ports * cfg.VCs
 	flits = pv * (cfg.BufferDepth + cfg.StageDepth)
-	masks = 4 * cfg.Ports  // input + output occupancy, two words per port each
+	masks = 8 * cfg.Ports  // input, output, active and requested VCs, two words per port each
 	health = 2 * cfg.Ports // linkUp + stalled
 	// Request nodes: at most one live request per input VC, plus headroom
 	// for same-cycle retire-and-resubmit churn before stage-3 compaction.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"mediaworm/internal/flit"
@@ -66,9 +67,12 @@ func TestOccupancyThroughSetLinkUpMidWorm(t *testing.T) {
 }
 
 // TestOccupancyRebuiltOnRestore checkpoints a busy router — several worms
-// requesting, granted and staged — and restores it into a fresh router:
-// the derived masks must come back equal to the originals, and both
-// routers must keep them in step as they continue.
+// requesting, granted and staged — at every cycle until it drains, and
+// restores each checkpoint into a fresh router: the derived masks must
+// come back equal to the originals and pass the audit, and the two routers
+// must still agree after stepping one more cycle. Checkpoints taken just
+// after a tail released an output VC catch a restore that leaves the
+// waiting headers' retry flag down.
 func TestOccupancyRebuiltOnRestore(t *testing.T) {
 	cfg := reqConfig()
 	cfg.Ports = 3
@@ -77,13 +81,30 @@ func TestOccupancyRebuiltOnRestore(t *testing.T) {
 		deliver(a, v%2, v, msg(uint64(v+1), 2, 0, 6, 100), period)
 	}
 	now := period
-	for i := 0; i < 5; i++ {
+	for cycle := 0; !a.Quiesced(); cycle++ {
+		if cycle > 100 {
+			t.Fatal("router did not drain")
+		}
+		b := restored(t, a, cfg)
+		if err := b.CheckOccupancy(); err != nil {
+			t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
+		}
+		if err := sameMasks(a, b); err != nil {
+			t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
+		}
 		step(t, a, now)
+		step(t, b, now)
+		if err := sameMasks(a, b); err != nil {
+			t.Fatalf("cycle %d, one step after RestoreState: %v", cycle, err)
+		}
 		now += period
 	}
-	if a.idle() {
-		t.Fatal("router drained before the checkpoint")
-	}
+}
+
+// restored checkpoints a and restores the checkpoint into a fresh router
+// built from cfg.
+func restored(t *testing.T, a *Router, cfg Config) *Router {
+	t.Helper()
 	tbl := flit.NewMsgTable()
 	a.CollectMessages(tbl)
 	w := snapshot.NewWriter()
@@ -109,23 +130,21 @@ func TestOccupancyRebuiltOnRestore(t *testing.T) {
 	if err := b.RestoreState(rd, rtbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.CheckOccupancy(); err != nil {
-		t.Fatalf("after RestoreState: %v", err)
-	}
+	return b
+}
+
+// sameMasks reports the first occupancy or phase mask word where b differs
+// from a.
+func sameMasks(a, b *Router) error {
 	for i := range a.inMask {
-		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] {
-			t.Fatalf("mask word %d: restored in %#x out %#x, original in %#x out %#x",
-				i, b.inMask[i], b.outMask[i], a.inMask[i], a.outMask[i])
+		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] ||
+			a.actMask[i] != b.actMask[i] || a.reqMask[i] != b.reqMask[i] {
+			return fmt.Errorf("mask word %d: in %#x out %#x act %#x req %#x, want %#x %#x %#x %#x",
+				i, b.inMask[i], b.outMask[i], b.actMask[i], b.reqMask[i],
+				a.inMask[i], a.outMask[i], a.actMask[i], a.reqMask[i])
 		}
 	}
-	for i := 0; i < 40; i++ {
-		step(t, a, now)
-		step(t, b, now)
-		now += period
-	}
-	if !a.Quiesced() || !b.Quiesced() {
-		t.Fatal("original or restored router did not drain")
-	}
+	return nil
 }
 
 // TestKillRaisesTheSharedFlag pins the kill flag's wiring: a router built

@@ -6,6 +6,7 @@ import (
 	"mediaworm/internal/flit"
 	"mediaworm/internal/obs"
 	"mediaworm/internal/sched"
+	"mediaworm/internal/sim"
 )
 
 // reqConfig returns a router where every output VC must be held exclusively,
@@ -183,5 +184,30 @@ func TestSetLinkUpZeroesClearedRequests(t *testing.T) {
 	}
 	if !blocker.Dead || !waiter.Dead {
 		t.Fatal("messages straddling or routed to the dead link not killed")
+	}
+}
+
+// TestSetRTVCsRetriesWaitingHeaders pins the retry flag's partition
+// trigger: a best-effort header refused because the one best-effort VC of
+// a transit port is held is granted in the cycle after SetRTVCs widens the
+// best-effort partition, although no output VC was released.
+func TestSetRTVCsRetriesWaitingHeaders(t *testing.T) {
+	cfg := testConfig(sched.VirtualClock)
+	cfg.VCs, cfg.RTVCs = 4, 3
+	r, _ := build(t, cfg)
+	r.Connect(1, stuck{}, false) // the holder never drains
+	deliver(r, 0, 0, msg(1, 1, 0, 8, sim.Forever), period)
+	deliver(r, 0, 1, msg(2, 1, 0, 2, sim.Forever), period)
+	now := run(r, 2*period, 10)
+	if in := &r.inv[1]; in.phase != vcRequested {
+		t.Fatalf("waiter phase %v, want vcRequested behind the held best-effort VC", in.phase)
+	}
+	r.SetRTVCs(2)
+	if err := r.CheckOccupancy(); err != nil {
+		t.Fatalf("after SetRTVCs: %v", err)
+	}
+	step(t, r, now)
+	if in := &r.inv[1]; in.phase != vcActive || in.outVC != 2 {
+		t.Fatalf("waiter phase %v on VC %d after repartition, want vcActive on VC 2", in.phase, in.outVC)
 	}
 }

@@ -35,7 +35,11 @@ func (r *ring) push(f flit.Flit) {
 	if r.n == len(r.buf) {
 		panic("core: ring overflow (credit protocol violated)")
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = f
+	i := r.head + r.n // < 2·len: wrap with one subtraction, not a division
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = f
 	r.n++
 }
 
@@ -49,7 +53,9 @@ func (r *ring) peek() flit.Flit {
 func (r *ring) pop() flit.Flit {
 	f := r.peek()
 	r.buf[r.head] = flit.Flit{} // release the *Message reference
-	r.head = (r.head + 1) % len(r.buf)
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n--
 	return f
 }

@@ -29,7 +29,10 @@
 // is a handful of large allocations, not a pointer forest (DESIGN.md §18).
 // Per-port occupancy bitmasks record which VCs hold anything, so a cycle
 // costs in proportion to the occupied VCs, and a router with none returns
-// from Step at once.
+// from Step at once. Phase masks narrow each stage to the VCs it can act
+// on, and headers waiting for an output VC retry allocation only after
+// something that could change the answer, such as the release of one of
+// their port's output VCs.
 package core
 
 import (
@@ -245,6 +248,12 @@ type outPort struct {
 	reqLen, stale int32
 	arb           sched.Arbiter // link VC multiplexer (point C)
 	reqTail       int32         //mw:snapcover — derived list-end cache; restore rebuilds it by re-appending the serialized FIFO walk
+	// retry flags the FCFS list for the next stage-3 walk. allocOutVC reads
+	// only the port's busy VCs, the VC partition and the message, so a
+	// header it refused stays refused until a request is pushed, an output
+	// VC is released, a request is retired or the partition moves; each of
+	// those raises the flag, and the walk clears it.
+	retry bool //mw:snapcover — derived; RestoreState flags every port
 }
 
 // Stats counts router activity for tests and instrumentation.
@@ -328,6 +337,12 @@ type Router struct {
 	// ascending VC order; markIn and markOut keep them in step.
 	inMask  []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
 	outMask []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
+	// actMask and reqMask, laid out like inMask, mark the input VCs whose
+	// phase is vcActive and vcRequested. Stage 2 visits the idle VCs
+	// holding a header, inMask &^ (actMask|reqMask), and stage 4 visits
+	// actMask; markIn keeps all three in step.
+	actMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
+	reqMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
 	// killed points at the kill flag, raised by the first message kill: the
 	// fabric's flag once AddRouter shares it, else ownKilled. Until it is
 	// raised no message is dead, so the reaping passes are skipped.
@@ -346,6 +361,7 @@ type Router struct {
 	claimed    []bool            //mw:snapcover — per-cycle scratch
 	claimedBy  []int8            //mw:snapcover — per-cycle scratch
 	picked     []int8            //mw:snapcover — per-cycle scratch
+	claimBlk   []uint64          //mw:snapcover — per-cycle scratch (input VCs the first allocator pass found blocked by a claimed output, laid out like inMask)
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, valid where fed has its bit)
 	feederCand []sched.Candidate //mw:snapcover — per-cycle scratch
 	fed        []uint64          //mw:snapcover — per-cycle scratch (output VCs with a feeder, laid out like outMask)
@@ -373,8 +389,9 @@ func New(cfg Config) (*Router, error) {
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
 	r.inv = carve(&a.inv, pv)
 	r.outv = carve(&a.outv, pv)
-	occ := carve(&a.masks, masks)
-	r.inMask, r.outMask = occ[:2*cfg.Ports:2*cfg.Ports], occ[2*cfg.Ports:]
+	occ, w := carve(&a.masks, masks), 2*cfg.Ports
+	r.inMask, r.outMask = occ[:w:w], occ[w:2*w:2*w]
+	r.actMask, r.reqMask = occ[2*w:3*w:3*w], occ[3*w:]
 	r.killed = &r.ownKilled
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
@@ -468,14 +485,30 @@ func (r *Router) kill(p int, msg *flit.Message, cause obs.Cause) {
 	*r.killed = true
 }
 
-// markIn recomputes input VC in's occupancy bit from its state.
+// markIn recomputes input VC in's occupancy and phase bits from its state.
 func (r *Router) markIn(in *inVC) {
 	w, bit := 2*int(in.port)+int(in.vcIdx)>>6, uint64(1)<<(uint(in.vcIdx)&63)
-	if in.q.empty() && in.phase == vcIdle {
-		r.inMask[w] &^= bit
-	} else {
-		r.inMask[w] |= bit
+	r.inMask[w] |= bit
+	r.actMask[w] &^= bit
+	r.reqMask[w] &^= bit
+	switch in.phase {
+	case vcIdle:
+		if in.q.empty() {
+			r.inMask[w] &^= bit
+		}
+	case vcRequested:
+		r.reqMask[w] |= bit
+	case vcActive:
+		r.actMask[w] |= bit
 	}
+}
+
+// releaseOut frees output VC (p, v) from the message holding it and flags
+// port p for a stage-3 retry, since a header refused there may now be
+// granted the VC. It is the only place an output VC is released.
+func (r *Router) releaseOut(p, v int) {
+	r.outv[p*r.nvc+v].busy = nil
+	r.outs[p].retry = true
 }
 
 // markOut recomputes output VC (p, v)'s occupancy bit from its state.
@@ -590,7 +623,7 @@ func (r *Router) SetLinkUp(p int, up bool) {
 		r.markOut(p, v)
 		if ov.busy != nil {
 			r.kill(p, ov.busy, obs.CauseLinkDown)
-			ov.busy = nil
+			r.releaseOut(p, v)
 		}
 	}
 	// Input VCs actively forwarding to the port: their worms straddle the
@@ -727,7 +760,11 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 // Step on every router each cycle, then lets NIs inject. A router with no
 // occupied VC and no request list returns at once: the stages would find
 // nothing to do. The cycle instant is still recorded, as the snapshot
-// carries it.
+// carries it. Otherwise each stage visits only what it can act on: stage 2
+// the idle VCs holding a header (every occupied VC once a message has been
+// killed), stage 3 the request lists of ports flagged for retry, stage 4
+// the granted VCs (every occupied VC when tracing) and stage 5 the output
+// VCs staging flits.
 //
 //mw:hotpath
 func (r *Router) Step(now sim.Time) {
@@ -748,9 +785,16 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// submission. Reaping first keeps killed worms from occupying VCs or
 	// submitting requests; it runs only once some message has been killed,
 	// and only over occupied VCs — an input VC still receiving a worm is
-	// occupied, so no dead worm is missed.
+	// occupied, so no dead worm is missed. Until then only idle VCs holding
+	// a header can act. Once it has, every occupied VC is visited, so a
+	// reap stays interleaved with routing in VC order: it releases busy
+	// VCs and retires requests that portLoad reads for later VCs.
 	for p := 0; p < len(r.outs); p++ {
-		for wi, w := range r.inMask[2*p : 2*p+2] {
+		for wi := 0; wi < 2; wi++ {
+			w := r.inMask[2*p+wi]
+			if !*r.killed {
+				w &^= r.actMask[2*p+wi] | r.reqMask[2*p+wi]
+			}
 			for ; w != 0; w &= w - 1 {
 				v := wi<<6 | bits.TrailingZeros64(w)
 				in := &r.inv[p*r.nvc+v]
@@ -795,9 +839,11 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 				in.outPort = out
 				in.phase = vcRequested
 				in.reqSeq = r.seq
+				r.markIn(in)
 				n := r.allocReq()
 				r.reqNodes[n] = reqNode{in: int32(p*r.nvc + v), next: -1, at: now, seq: r.seq}
 				r.pushReq(&r.outs[out], n)
+				r.outs[out].retry = true
 				r.seq++
 				r.stats.RequestsQueued++
 			}
@@ -809,9 +855,15 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// allocation of one header overlap); the grant still takes effect at
 	// the crossbar one cycle later via grantedAt. The walk rebuilds each
 	// port's list in place, freeing granted and retired nodes back to the
-	// arena so their references are released.
+	// arena so their references are released. Only a port flagged for
+	// retry is walked: on any other, every node is a live request that
+	// allocOutVC refused and would refuse again.
 	for p := 0; p < len(r.outs); p++ {
 		op := &r.outs[p]
+		if !op.retry {
+			continue
+		}
+		op.retry = false
 		if op.reqHead < 0 {
 			continue
 		}
@@ -839,6 +891,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 			in.outVC = vc
 			in.phase = vcActive
 			in.grantedAt = now
+			r.markIn(in)
 			r.stats.MessagesRouted++
 			r.stats.GrantWait += uint64(now - node.at)
 			r.stats.GrantWaitCount++
@@ -922,9 +975,8 @@ func (r *Router) reapInVC(p int, in *inVC) {
 		case vcRequested:
 			r.removeRequest(in)
 		case vcActive:
-			ov := r.outAt(in.outPort, in.outVC)
-			if ov.busy == in.headMsg {
-				ov.busy = nil
+			if r.outAt(in.outPort, in.outVC).busy == in.headMsg {
+				r.releaseOut(in.outPort, in.outVC)
 			}
 		}
 		in.phase = vcIdle
@@ -935,12 +987,14 @@ func (r *Router) reapInVC(p int, in *inVC) {
 
 // removeRequest retires in's pending crossbar request in O(1): the node
 // stays in its output port's FCFS list but stops matching in.reqSeq once
-// the caller resets in's phase, and the next stage-3 pass — which walks the
-// list anyway — frees it back to the arena. The old ordered mid-slice
-// delete re-copied the queue tail on every removal, and left dangling
-// references in the backing array.
+// the caller resets in's phase, and the port is flagged so the same
+// cycle's stage-3 walk frees it back to the arena. The old ordered
+// mid-slice delete re-copied the queue tail on every removal, and left
+// dangling references in the backing array.
 func (r *Router) removeRequest(in *inVC) {
-	r.outs[in.outPort].stale++
+	op := &r.outs[in.outPort]
+	op.stale++
+	op.retry = true
 }
 
 // classRange returns the VC partition [lo, hi) for a traffic class.
@@ -956,13 +1010,16 @@ func (r *Router) RTVCs() int { return r.rtVCs }
 
 // SetRTVCs repartitions the virtual channels at run time (the paper's §6
 // "dynamically partitioned resources"). In-flight messages keep the VCs
-// they hold; only future allocations see the new boundary. n must lie in
-// [0, VCs].
+// they hold; only future allocations see the new boundary, so every port
+// is flagged for a stage-3 retry. n must lie in [0, VCs].
 func (r *Router) SetRTVCs(n int) {
 	if n < 0 || n > r.cfg.VCs {
 		panic("core: SetRTVCs out of range")
 	}
 	r.rtVCs = n
+	for p := range r.outs {
+		r.outs[p].retry = true
+	}
 }
 
 // portLoad estimates congestion on output port p for fat-link selection.
@@ -994,9 +1051,10 @@ func (r *Router) switchTraversal(now sim.Time) {
 	}
 	n := len(r.outs)
 	if len(r.claimed) < n {
-		r.claimed = make([]bool, n)   //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-		r.claimedBy = make([]int8, n) //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-		r.picked = make([]int8, n)    //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+		r.claimed = make([]bool, n)      //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+		r.claimedBy = make([]int8, n)    //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+		r.picked = make([]int8, n)       //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+		r.claimBlk = make([]uint64, 2*n) //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
 	}
 	claimed := r.claimed
 	for i := range claimed {
@@ -1007,16 +1065,30 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// First allocator iteration: each input port's multiplexer picks its
 	// scheduler-preferred eligible flit among outputs not yet claimed this
 	// cycle. The starting port rotates so no port is structurally favoured.
+	// Only granted VCs can be picked. Every other occupied VC holds a flit
+	// awaiting an output VC — an idle one by inMask's definition, a
+	// requested one because its header stays at the queue head until
+	// granted — so untraced, they are counted in BlockedNotGranted at once
+	// and only actMask is visited. Traced, every occupied VC is visited, so
+	// blocking spans open in VC order. claimBlk records the VCs blocked by
+	// a claimed output for the second iteration.
 	start := int(now/r.cfg.Period) % n
-	for k := 0; k < n; k++ {
-		p := (start + k) % n
+	for k, p := 0, start; k < n; k, p = k+1, nextPort(p, n) {
 		cands = cands[:0]
-		for wi, w := range r.inMask[2*p : 2*p+2] {
+		for wi := 0; wi < 2; wi++ {
+			w := r.inMask[2*p+wi]
+			if r.trc == nil {
+				a := r.actMask[2*p+wi]
+				r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
+				w = a
+			}
+			r.claimBlk[2*p+wi] = 0
 			for ; w != 0; w &= w - 1 {
 				v := wi<<6 | bits.TrailingZeros64(w)
 				in := &r.inv[p*r.nvc+v]
 				if claimed[in.outPort] && in.phase == vcActive {
 					r.stats.BlockedClaimed++
+					r.claimBlk[2*p+wi] |= w & -w
 					if !in.q.empty() {
 						r.traceBlock(in, now, obs.CauseClaimed)
 					}
@@ -1065,30 +1137,33 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// output — the claimer is re-pointed there and the contested output
 	// handed over. Pipelined routers achieve the same with iterative
 	// separable allocators; every input still forwards at most one flit
-	// and every output still receives at most one.
-	for k := 0; k < n; k++ {
-		p := (start + k) % n
+	// and every output still receives at most one. An unmatched input had
+	// no eligible VC with an unclaimed output, nothing changes eligibility
+	// between the iterations and claims are never withdrawn, so its
+	// claim-blocked VCs are the only ones that can qualify, and eligibility
+	// is the only test left for them. An alternative must be granted, so
+	// the claimer's actMask is searched.
+	for k, p := 0, start; k < n; k, p = k+1, nextPort(p, n) {
 		if r.picked[p] >= 0 {
 			continue
 		}
 	vcLoop:
-		for wi, w := range r.inMask[2*p : 2*p+2] {
+		for wi, w := range r.claimBlk[2*p : 2*p+2] {
 			for ; w != 0; w &= w - 1 {
 				v := wi<<6 | bits.TrailingZeros64(w)
 				in := &r.inv[p*r.nvc+v]
-				if in.phase != vcActive || !claimed[in.outPort] || !r.vcEligible(in, now) {
+				if !r.vcEligible(in, now) {
 					continue
 				}
 				j := r.claimedBy[in.outPort]
 				if j < 0 || r.picked[j] < 0 {
 					continue
 				}
-				for wj, wa := range r.inMask[2*int(j) : 2*int(j)+2] {
+				for wj, wa := range r.actMask[2*int(j) : 2*int(j)+2] {
 					for ; wa != 0; wa &= wa - 1 {
 						jv := wj<<6 | bits.TrailingZeros64(wa)
 						alt := &r.inv[int(j)*r.nvc+jv]
-						if jv == int(r.picked[j]) || alt.phase != vcActive ||
-							claimed[alt.outPort] || !r.vcEligible(alt, now) {
+						if jv == int(r.picked[j]) || claimed[alt.outPort] || !r.vcEligible(alt, now) {
 							continue
 						}
 						// Re-point input j to the free output and hand the
@@ -1112,6 +1187,15 @@ func (r *Router) switchTraversal(now sim.Time) {
 	}
 }
 
+// nextPort returns the port after p in the allocator's rotation over n
+// ports, wrapping without a division.
+func nextPort(p, n int) int {
+	if p++; p == n {
+		return 0
+	}
+	return p
+}
+
 // fullTraversal is stage 4 for the full (n·m × n·m) crossbar: every output
 // VC is a dedicated crossbar output that accepts at most one flit per cycle,
 // chosen among the input VCs feeding it by the configured policy. There is
@@ -1133,15 +1217,16 @@ func (r *Router) fullTraversal(now sim.Time) {
 		r.fed[i] = 0
 	}
 	for p := range r.outs {
-		for wi, w := range r.inMask[2*p : 2*p+2] {
+		for wi, w := range r.actMask[2*p : 2*p+2] { // vcEligible requires vcActive
 			for ; w != 0; w &= w - 1 {
-				i := p*m + (wi<<6 | bits.TrailingZeros64(w))
+				v := wi<<6 | bits.TrailingZeros64(w)
+				i := p*m + v
 				in := &r.inv[i]
 				if !r.vcEligible(in, now) {
 					continue
 				}
 				head := in.q.peek()
-				c := sched.Candidate{VC: i % m, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
+				c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
 				key := in.outPort*m + in.outVC
 				fw, fb := 2*in.outPort+in.outVC>>6, uint64(1)<<(uint(in.outVC)&63)
 				if r.fed[fw]&fb == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
@@ -1209,7 +1294,7 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 			// Exclusive VC released as the tail enters the staging buffer:
 			// the staging FIFO keeps messages contiguous on the link, so
 			// the next holder cannot overtake the old tail.
-			ov.busy = nil
+			r.releaseOut(in.outPort, in.outVC)
 		}
 	}
 	r.markIn(in)
@@ -1294,7 +1379,7 @@ func (r *Router) reapOutPort(p int) {
 		}
 		r.markOut(p, v)
 		if ov.busy != nil && ov.busy.Dead {
-			ov.busy = nil
+			r.releaseOut(p, v)
 		}
 	}
 }
@@ -1355,26 +1440,56 @@ func (r *Router) BlockedWorms() []Blocked {
 	return out
 }
 
-// CheckOccupancy recomputes the occupancy masks and the idle predicate
-// from the VC tables and reports the first disagreement. It walks every
-// VC, so it is an audit to run between cycles, not part of one.
+// CheckOccupancy recomputes the occupancy and phase masks and the idle
+// predicate from the VC tables and reports the first disagreement. It also
+// audits what the stages' shortcuts rely on: a requested VC's queue is
+// never empty, and a port whose retry flag is clear holds only live
+// requests that allocOutVC refuses. It walks every VC, so it is an audit
+// to run between cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
 	for p := range r.outs {
 		for v := 0; v < 128; v++ {
 			w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
-			var wantIn, wantOut bool
+			var wantIn, wantOut, wantAct, wantReq bool
 			if v < r.nvc {
 				in := r.inAt(p, v)
 				wantIn = !in.q.empty() || in.phase != vcIdle
 				wantOut = !r.outAt(p, v).stage.empty()
+				wantAct, wantReq = in.phase == vcActive, in.phase == vcRequested
+				if wantReq && in.q.empty() {
+					return fmt.Errorf("core: router %d input VC %d/%d is requested with an empty queue",
+						r.cfg.ID, p, v)
+				}
 			}
-			if got := r.inMask[w]&bit != 0; got != wantIn {
-				return fmt.Errorf("core: router %d input VC %d/%d occupancy bit %v, VC state says %v",
-					r.cfg.ID, p, v, got, wantIn)
+			for _, c := range [...]struct {
+				side, what string
+				mask       []uint64
+				want       bool
+			}{
+				{"input", "occupancy", r.inMask, wantIn},
+				{"output", "occupancy", r.outMask, wantOut},
+				{"input", "active", r.actMask, wantAct},
+				{"input", "requested", r.reqMask, wantReq},
+			} {
+				if got := c.mask[w]&bit != 0; got != c.want {
+					return fmt.Errorf("core: router %d %s VC %d/%d %s bit %v, VC state says %v",
+						r.cfg.ID, c.side, p, v, c.what, got, c.want)
+				}
 			}
-			if got := r.outMask[w]&bit != 0; got != wantOut {
-				return fmt.Errorf("core: router %d output VC %d/%d occupancy bit %v, VC state says %v",
-					r.cfg.ID, p, v, got, wantOut)
+		}
+		op := &r.outs[p]
+		if op.retry {
+			continue
+		}
+		for n := op.reqHead; n >= 0; n = r.reqNodes[n].next {
+			node := &r.reqNodes[n]
+			if !r.liveReq(node) {
+				return fmt.Errorf("core: router %d output port %d holds a retired request but is not flagged for retry",
+					r.cfg.ID, p)
+			}
+			if _, ok := r.allocOutVC(p, op, r.inv[node.in].headMsg); ok {
+				return fmt.Errorf("core: router %d output port %d could grant input VC %d/%d but is not flagged for retry",
+					r.cfg.ID, p, int(node.in)/r.nvc, int(node.in)%r.nvc)
 			}
 		}
 	}

@@ -98,6 +98,52 @@ func BenchmarkRouterStepSparse(b *testing.B) {
 	}
 }
 
+// stuck is a downstream router input with no credit on any VC: worms sent
+// to it stall with their output VCs held.
+type stuck struct{}
+
+func (stuck) HasCredit(int) bool    { return false }
+func (stuck) Accept(int, flit.Flit) { panic("core: flit accepted without credit") }
+
+// blockedStepper makes port 1 of r a transit port with no downstream
+// credit, parks a worm on each of its real-time output VCs from input
+// port 0, and queues six more real-time headers for it from input port 2.
+// It returns one cycle, a Step; once the holders have filled their staging
+// buffers, each cycle finds the same stalled worms and waiting headers.
+func blockedStepper(r *Router) func() {
+	r.Connect(1, stuck{}, false)
+	now := period
+	var id uint64
+	for _, src := range []struct{ port, msgs int }{{0, r.rtVCs}, {2, 6}} {
+		for v := 0; v < src.msgs; v++ {
+			id++
+			deliver(r, src.port, v, msg(id, 1, 0, 8, 100), now)
+		}
+	}
+	return func() {
+		r.Step(now)
+		now += period
+	}
+}
+
+// BenchmarkRouterStepBlocked measures Step on the 8-port, 16-VC router
+// while six headers wait for an output VC at a transit port whose twelve
+// real-time VCs are all held by worms with no downstream credit: the
+// blocked case the stage-3 retry flag and the phase masks skip, which
+// BenchmarkRouterStepSparse never reaches.
+func BenchmarkRouterStepBlocked(b *testing.B) {
+	r := benchRouter(b, sparseConfig())
+	step := blockedStepper(r)
+	for i := 0; i < 200; i++ { // warm-up: grants, staging fills, scratch sizing
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // churnIteration drives one full request-churn cycle: four headers compete
 // for one exclusive endpoint VC, two die while queued, the survivors drain,
 // and the messages recycle through the pool. This is the path the arena

@@ -14,10 +14,12 @@ import (
 // progress, the FCFS request queues, arbiter state, virtual clocks, fault
 // flags, and counters. Scratch buffers (candidate slices, claim maps) are
 // per-cycle and never live across an event, so they are not state; nor are
-// the occupancy masks, which a restore derives from the VC tables. The wire
-// format is layout-independent: the struct-of-arrays tables serialize in
-// the same (port, vc) nesting order as the original per-object layout, and
-// the request arena lists serialize as their FIFO walk.
+// the occupancy and phase masks, which a restore derives from the VC
+// tables, or the stage-3 retry flags, which a restore raises on every
+// port. The wire format is layout-independent: the struct-of-arrays tables
+// serialize in the same (port, vc) nesting order as the original
+// per-object layout, and the request arena lists serialize as their FIFO
+// walk.
 
 // CollectMessages registers every message the router holds a reference to.
 func (r *Router) CollectMessages(tbl *flit.MsgTable) {
@@ -202,6 +204,7 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 		}
 		op.reqHead, op.reqTail = -1, -1
 		op.reqLen = 0
+		op.retry = true
 		for i := 0; i < nreqs; i++ {
 			inPort := rd.Int()
 			vc := rd.Int()
@@ -243,7 +246,8 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			sched.RestoreVClock(rd, &ov.clk)
 		}
 	}
-	// The occupancy masks are derived from the VC tables just restored.
+	// The occupancy and phase masks are derived from the VC tables just
+	// restored.
 	for i := range r.inv {
 		r.markIn(&r.inv[i])
 	}

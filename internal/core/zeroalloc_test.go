@@ -86,8 +86,9 @@ func streamStepper(r *Router) func() {
 }
 
 // stepZeroAlloc builds a router from cfg with sinks on every port and
-// fails unless the stream stepper runs allocation-free after warm-up.
-func stepZeroAlloc(t *testing.T, cfg Config) {
+// fails unless the cycle stepper returns runs allocation-free after
+// warm-up. It returns the router for further checks.
+func stepZeroAlloc(t *testing.T, cfg Config, stepper func(*Router) func()) *Router {
 	t.Helper()
 	r, err := New(cfg)
 	if err != nil {
@@ -96,24 +97,43 @@ func stepZeroAlloc(t *testing.T, cfg Config) {
 	for p := 0; p < cfg.Ports; p++ {
 		r.Connect(p, devNull{}, true)
 	}
-	step := streamStepper(r)
+	step := stepper(r)
 	for i := 0; i < 200; i++ { // warm-up: scratch sizing, first messages
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Fatalf("streaming Step allocates %.3f objects/op after warm-up, want 0", allocs)
+		t.Fatalf("Step allocates %.3f objects/op after warm-up, want 0", allocs)
 	}
+	return r
 }
 
 // TestRouterStepStreamZeroAlloc proves the streaming hot path (Deliver +
 // Step under a saturated wormhole stream) stays allocation-free with the
 // flat VC tables.
 func TestRouterStepStreamZeroAlloc(t *testing.T) {
-	stepZeroAlloc(t, testConfig(sched.VirtualClock))
+	stepZeroAlloc(t, testConfig(sched.VirtualClock), streamStepper)
 }
 
 // TestRouterStepSparseZeroAlloc is BenchmarkRouterStepSparse's allocation
 // proof: the masked stages on the 8-port, 16-VC router allocate nothing.
 func TestRouterStepSparseZeroAlloc(t *testing.T) {
-	stepZeroAlloc(t, sparseConfig())
+	stepZeroAlloc(t, sparseConfig(), streamStepper)
+}
+
+// TestRouterStepBlockedZeroAlloc is BenchmarkRouterStepBlocked's
+// allocation proof. It also checks that the benchmark measures what it
+// says: the twelve holders granted and stalled, six headers still waiting
+// at the transit port, and the port not flagged for a retry.
+func TestRouterStepBlockedZeroAlloc(t *testing.T) {
+	r := stepZeroAlloc(t, sparseConfig(), blockedStepper)
+	if err := r.CheckOccupancy(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().MessagesRouted; got != uint64(r.rtVCs) {
+		t.Fatalf("%d headers granted, want %d holders", got, r.rtVCs)
+	}
+	if got := len(reqIdxs(r, 1)); got != 6 || r.outs[1].retry {
+		t.Fatalf("%d headers waiting at port 1 (retry flag %v), want 6 with the flag clear",
+			got, r.outs[1].retry)
+	}
 }
