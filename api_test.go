@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mediaworm/internal/network"
 	"mediaworm/internal/sched"
 )
 
@@ -36,6 +37,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.BufferDepth = 0 },
 		func(c *Config) { c.LinkBandwidthBps = 0 },
 		func(c *Config) { c.FlitBits = 4 },
+		func(c *Config) { c.LinkBandwidthBps = 40e9 }, // 0.8ns cycles truncate to 0
 		func(c *Config) { c.Load = 0 },
 		func(c *Config) { c.Load = 2 },
 		func(c *Config) { c.RTShare = 1.5 },
@@ -54,6 +56,21 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("Run accepted invalid config %d", i)
 		}
+	}
+}
+
+// TestNewSimRefusesMoreVCsThanAnNISupports pins the NI's VC limit as an
+// error from the fabric build, not a panic: the limit itself builds, one
+// more VC is refused.
+func TestNewSimRefusesMoreVCsThanAnNISupports(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VCs = network.MaxNIVCs
+	if _, err := NewSim(cfg); err != nil {
+		t.Fatalf("NewSim with %d VCs: %v", cfg.VCs, err)
+	}
+	cfg.VCs++
+	if _, err := NewSim(cfg); err == nil {
+		t.Fatalf("NewSim accepted %d VCs", cfg.VCs)
 	}
 }
 

@@ -27,10 +27,11 @@ func ckptCfg() Config {
 // observes fewer than two intervals).
 func resultString(r Result) string { return fmt.Sprintf("%#v", r) }
 
-// runDirect runs cfg in one shot; runInterrupted runs it to checkpointAt,
-// checkpoints, restores into a fresh Sim, and finishes there. The golden
-// property is that both produce identical Results.
-func runInterrupted(t *testing.T, cfg Config, checkpointAt time.Duration) (Result, []byte) {
+// runInterrupted runs cfg to checkpointAt, checkpoints, restores into a
+// fresh Sim, and finishes there; the golden property is that this produces
+// the Result of the uninterrupted run. It also returns the checkpoint and
+// the number of headers waiting for an output VC at its instant.
+func runInterrupted(t *testing.T, cfg Config, checkpointAt time.Duration) (Result, []byte, int) {
 	t.Helper()
 	s, err := NewSim(cfg)
 	if err != nil {
@@ -41,6 +42,7 @@ func runInterrupted(t *testing.T, cfg Config, checkpointAt time.Duration) (Resul
 	if err := s.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("WriteCheckpoint at %v: %v", checkpointAt, err)
 	}
+	waiting := waitingHeaders(s)
 	restored, err := RestoreSim(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("RestoreSim: %v", err)
@@ -49,7 +51,22 @@ func runInterrupted(t *testing.T, cfg Config, checkpointAt time.Duration) (Resul
 	if err != nil {
 		t.Fatalf("Finish after restore: %v", err)
 	}
-	return res, buf.Bytes()
+	return res, buf.Bytes(), waiting
+}
+
+// waitingHeaders counts the headers waiting for an output VC across s's
+// routers: the worms BlockedWorms reports without a granted VC. A
+// checkpoint taken with some carries each output port's FCFS list.
+func waitingHeaders(s *Sim) int {
+	n := 0
+	for _, r := range s.net.Routers {
+		for _, b := range r.BlockedWorms() {
+			if b.OutVC < 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestCheckpointRoundTripGolden is the tentpole proof: run to T/2,
@@ -57,6 +74,10 @@ func runInterrupted(t *testing.T, cfg Config, checkpointAt time.Duration) (Resul
 // of the uninterrupted run, across policies, traffic classes, topologies,
 // and VBR models.
 func TestCheckpointRoundTripGolden(t *testing.T) {
+	// These cases must checkpoint headers waiting for an output VC, so the
+	// FCFS lists, and the fat-link choice that counts them, cross the
+	// checkpoint.
+	mustWait := map[string]bool{"fat-mesh-waiting": true}
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -69,6 +90,14 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 		{"pure-realtime", func(c *Config) { c.RTShare = 1.0 }},
 		{"no-playout", func(c *Config) { c.PlayoutBufferFrames = 0 }},
 		{"fat-mesh", func(c *Config) { c.Topology = FatMesh2x2; c.Load = 0.5 }},
+		// Saturated best effort keeps headers waiting for fat-mesh output
+		// VCs; the short window keeps the case fast.
+		{"fat-mesh-waiting", func(c *Config) {
+			c.Topology = FatMesh2x2
+			c.Load = 0.9
+			c.RTShare = 0.6
+			c.Measure = 4 * c.FrameInterval
+		}},
 		{"tetrahedral", func(c *Config) { c.Topology = Tetrahedral; c.Load = 0.5 }},
 		// Generated fabrics carry 16 endpoints each, so their windows shrink
 		// to keep the suite fast; the golden property is window-independent.
@@ -110,10 +139,13 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			got, _ := runInterrupted(t, cfg, cfg.Warmup+cfg.Measure/2)
+			got, _, waiting := runInterrupted(t, cfg, cfg.Warmup+cfg.Measure/2)
 			if resultString(got) != resultString(want) {
 				t.Errorf("restored run diverged\n got: %s\nwant: %s",
 					resultString(got), resultString(want))
+			}
+			if mustWait[tc.name] && waiting == 0 {
+				t.Error("no header waits for an output VC at the checkpoint instant")
 			}
 		})
 	}
@@ -136,12 +168,15 @@ func TestCheckpointTorus8x8Golden(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	at := cfg.Warmup + cfg.Measure/2
-	got, ckpt := runInterrupted(t, cfg, at)
+	got, ckpt, waiting := runInterrupted(t, cfg, at)
 	if resultString(got) != resultString(want) {
 		t.Errorf("restored 8×8 torus run diverged\n got: %s\nwant: %s",
 			resultString(got), resultString(want))
 	}
-	_, again := runInterrupted(t, cfg, at)
+	if waiting == 0 {
+		t.Error("no header waits for an output VC at the checkpoint instant")
+	}
+	_, again, _ := runInterrupted(t, cfg, at)
 	if !bytes.Equal(ckpt, again) {
 		t.Errorf("two 8×8 torus checkpoints of the same instant differ (%d vs %d bytes)",
 			len(ckpt), len(again))
@@ -170,7 +205,7 @@ func TestCheckpointPolicedWeightedRun(t *testing.T) {
 	if want.Policing.DeliveredFrameRatio >= 1 {
 		t.Fatalf("drops recorded but delivered-frame ratio is %v", want.Policing.DeliveredFrameRatio)
 	}
-	got, _ := runInterrupted(t, cfg, cfg.Warmup+cfg.Measure/2)
+	got, _, _ := runInterrupted(t, cfg, cfg.Warmup+cfg.Measure/2)
 	if resultString(got) != resultString(want) {
 		t.Errorf("restored policed run diverged\n got: %s\nwant: %s",
 			resultString(got), resultString(want))
@@ -188,7 +223,7 @@ func TestCheckpointAtManyInstants(t *testing.T) {
 	total := cfg.Warmup + cfg.Measure
 	for _, frac := range []float64{0, 0.1, 0.33, 0.5, 0.9, 1.0} {
 		at := time.Duration(float64(total) * frac)
-		got, _ := runInterrupted(t, cfg, at)
+		got, _, _ := runInterrupted(t, cfg, at)
 		if resultString(got) != resultString(want) {
 			t.Errorf("checkpoint at %v (%.0f%%): diverged\n got: %s\nwant: %s",
 				at, frac*100, resultString(got), resultString(want))
@@ -376,7 +411,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		}
 		total := cfg.Warmup + cfg.Measure
 		at := time.Duration(float64(total) * float64(atPermille%1001) / 1000)
-		got, _ := runInterrupted(t, cfg, at)
+		got, _, _ := runInterrupted(t, cfg, at)
 		if resultString(got) != resultString(want) {
 			t.Errorf("seed=%d load=%.2f rt=%.2f at=%v: diverged\n got: %s\nwant: %s",
 				seed, cfg.Load, cfg.RTShare, at, resultString(got), resultString(want))

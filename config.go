@@ -400,6 +400,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mediaworm: link bandwidth %v", c.LinkBandwidthBps)
 	case c.FlitBits < 8:
 		return fmt.Errorf("mediaworm: FlitBits = %d", c.FlitBits)
+	case c.CyclePeriod() < time.Nanosecond:
+		return fmt.Errorf("mediaworm: cycle period %v (%d-bit flits at %v b/s) is below the 1ns time step",
+			c.CyclePeriod(), c.FlitBits, c.LinkBandwidthBps)
 	case c.Load <= 0 || c.Load > 1.5:
 		return fmt.Errorf("mediaworm: Load = %v", c.Load)
 	case c.RTShare < 0 || c.RTShare > 1:

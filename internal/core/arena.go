@@ -5,8 +5,8 @@ import "mediaworm/internal/flit"
 // Arena is a struct-of-arrays backing store for router hot state. A fabric
 // builder allocates one arena sized for all of its routers, and every router
 // carves its per-port/per-VC tables — input VCs, output VCs, flit buffer
-// rings, occupancy and phase masks, link-health flags, port counters, and
-// crossbar-request nodes — as contiguous subslices of the shared slabs.
+// rings, occupancy and phase masks, link-health flags and port counters —
+// as contiguous subslices of the shared slabs.
 // The result is a handful of large allocations per fabric instead of
 // O(routers × ports × VCs) small ones, and same-kind state packed
 // contiguously across routers, which is what keeps a 256-router torus
@@ -22,21 +22,17 @@ type Arena struct {
 	masks  []uint64    // backing slab; derived state the owning routers rebuild on restore
 	health []bool      // backing slab; the owning routers serialize their views
 	pstats []PortStats // backing slab; the owning routers serialize their views
-	reqs   []reqNode   // backing slab; request queues serialize through the owning routers
 	// deadTransit is derived from the routers' link-health flags: it is
 	// kept by Router.SetLinkUp and rebuilt as RestoreState rewrites them.
 	deadTransit int
 }
 
 // arenaShape returns the per-router slab demand for a config.
-func arenaShape(cfg Config) (pv, flits, masks, health, reqCap int) {
+func arenaShape(cfg Config) (pv, flits, masks, health int) {
 	pv = cfg.Ports * cfg.VCs
 	flits = pv * (cfg.BufferDepth + cfg.StageDepth)
 	masks = 8 * cfg.Ports  // input, output, active and requested VCs, two words per port each
 	health = 2 * cfg.Ports // linkUp + stalled
-	// Request nodes: at most one live request per input VC, plus headroom
-	// for same-cycle retire-and-resubmit churn before stage-3 compaction.
-	reqCap = 2 * pv
 	return
 }
 
@@ -49,7 +45,7 @@ func NewArena(routers int, cfg Config) *Arena {
 	if routers < 1 {
 		routers = 1
 	}
-	pv, flits, masks, health, reqCap := arenaShape(cfg)
+	pv, flits, masks, health := arenaShape(cfg)
 	return &Arena{
 		inv:    make([]inVC, 0, routers*pv),
 		outv:   make([]outVC, 0, routers*pv),
@@ -57,7 +53,6 @@ func NewArena(routers int, cfg Config) *Arena {
 		masks:  make([]uint64, 0, routers*masks),
 		health: make([]bool, 0, routers*health),
 		pstats: make([]PortStats, 0, routers*cfg.Ports),
-		reqs:   make([]reqNode, 0, routers*reqCap),
 	}
 }
 

@@ -70,9 +70,10 @@ func TestOccupancyThroughSetLinkUpMidWorm(t *testing.T) {
 // requesting, granted and staged — at every cycle until it drains, and
 // restores each checkpoint into a fresh router: the derived masks must
 // come back equal to the originals and pass the audit, and the two routers
-// must still agree after stepping one more cycle. Checkpoints taken just
-// after a tail released an output VC catch a restore that leaves the
-// waiting headers' retry flag down.
+// must still agree, masks and counters, after stepping one more cycle.
+// Checkpoints taken just after a tail released an output VC catch a
+// restore that leaves the waiting headers' retry flag down; a grant in the
+// next cycle catches one that loses a waiting header's request instant.
 func TestOccupancyRebuiltOnRestore(t *testing.T) {
 	cfg := reqConfig()
 	cfg.Ports = 3
@@ -97,6 +98,9 @@ func TestOccupancyRebuiltOnRestore(t *testing.T) {
 		if err := sameMasks(a, b); err != nil {
 			t.Fatalf("cycle %d, one step after RestoreState: %v", cycle, err)
 		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("cycle %d, one step after RestoreState: counters %+v, want %+v", cycle, b.Stats(), a.Stats())
+		}
 		now += period
 	}
 }
@@ -104,6 +108,16 @@ func TestOccupancyRebuiltOnRestore(t *testing.T) {
 // restored checkpoints a and restores the checkpoint into a fresh router
 // built from cfg.
 func restored(t *testing.T, a *Router, cfg Config) *Router {
+	t.Helper()
+	b, err := restore(t, cfg, checkpoint(t, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkpoint returns a snapshot of a's messages and state.
+func checkpoint(t *testing.T, a *Router) []byte {
 	t.Helper()
 	tbl := flit.NewMsgTable()
 	a.CollectMessages(tbl)
@@ -118,7 +132,13 @@ func restored(t *testing.T, a *Router, cfg Config) *Router {
 	if err := w.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := snapshot.NewReader(&buf)
+	return buf.Bytes()
+}
+
+// restore builds a router from cfg and restores the snapshot data into it.
+func restore(t *testing.T, cfg Config, data []byte) (*Router, error) {
+	t.Helper()
+	rd, err := snapshot.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +147,7 @@ func restored(t *testing.T, a *Router, cfg Config) *Router {
 		t.Fatal(err)
 	}
 	b, _ := build(t, cfg)
-	if err := b.RestoreState(rd, rtbl); err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return b, b.RestoreState(rd, rtbl)
 }
 
 // sameMasks reports the first occupancy or phase mask word where b differs

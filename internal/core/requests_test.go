@@ -1,17 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"mediaworm/internal/flit"
 	"mediaworm/internal/obs"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
+	"mediaworm/internal/snapshot"
 )
 
 // reqConfig returns a router where every output VC must be held exclusively,
-// so concurrent headers to one endpoint VC pile up in the stage-3 request
-// queue — the surface the lazy-retirement arena discipline manages.
+// so concurrent headers to one endpoint VC wait in stage 3 for it.
 func reqConfig() Config {
 	cfg := testConfig(sched.VirtualClock)
 	cfg.VCs = 4
@@ -20,32 +25,55 @@ func reqConfig() Config {
 	return cfg
 }
 
-// reqIdxs walks output port p's FCFS request list, returning the flat
-// input-VC index of each node in queue order.
-func reqIdxs(r *Router, p int) []int32 {
-	var out []int32
-	for n := r.outs[p].reqHead; n >= 0; n = r.reqNodes[n].next {
-		out = append(out, r.reqNodes[n].in)
-	}
-	return out
+// waitingAt copies output port p's waiting headers, as flat input-VC
+// indexes in FCFS order, out of the router's scratch.
+func waitingAt(r *Router, p int) []int32 {
+	return slices.Clone(r.waiting(p))
 }
 
-// freeCount walks the request arena's free list.
-func freeCount(r *Router) int {
-	c := 0
-	for n := r.reqFree; n >= 0; n = r.reqNodes[n].next {
-		c++
+// headerOrder returns the IDs of the messages whose headers c received, in
+// arrival order.
+func headerOrder(c *capture) []uint64 {
+	var ids []uint64
+	for _, f := range c.flits {
+		if f.IsHeader() {
+			ids = append(ids, f.Msg.ID)
+		}
 	}
-	return c
+	return ids
 }
 
-// TestRemoveRequestCompactsAndZeroes pins the stage-3 queue hygiene: killing
-// messages with queued crossbar requests retires the entries in O(1), the
-// next cycle's allocation pass frees them back to the arena preserving FCFS
-// order among survivors, and freed nodes are cleared so dropped requests
-// release their state (the same leak class the ring buffer's pop zeroing
-// addresses).
-func TestRemoveRequestCompactsAndZeroes(t *testing.T) {
+// TestWaitingHeadersGrantedInRequestOrder pins stage 3's FCFS order: the
+// headers waiting for a held output VC are granted in the order they
+// requested it, not in input-VC index order. A header on input port 1
+// requests the VC a cycle before one on input port 0, VC 1, whose flat
+// index is lower.
+func TestWaitingHeadersGrantedInRequestOrder(t *testing.T) {
+	cfg := reqConfig()
+	cfg.Ports = 3
+	r, caps := build(t, cfg)
+	deliver(r, 0, 0, msg(1, 2, 0, 6, 100), period) // holds the endpoint VC
+	deliver(r, 1, 0, msg(2, 2, 0, 2, 100), period)
+	deliver(r, 0, 1, msg(3, 2, 0, 2, 100), 2*period)
+	step(t, r, 2*period) // the holder is granted, message 2 waits
+	step(t, r, 3*period) // message 3 waits behind it
+	if got, want := waitingAt(r, 2), []int32{int32(r.nvc), 1}; !slices.Equal(got, want) {
+		t.Fatalf("waiting headers %v, want input VCs %v in request order", got, want)
+	}
+	run(r, 4*period, 40)
+	if !r.Quiesced() {
+		t.Fatal("router did not quiesce")
+	}
+	if got, want := headerOrder(caps[2]), []uint64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("messages left in order %v, want %v", got, want)
+	}
+}
+
+// TestReapedWaitingHeadersKeepFCFSOrder pins request retirement: killing
+// messages whose headers wait for an output VC retires their requests by
+// the phase change alone, the surviving waiter keeps its place, and the
+// dead worms are reaped while the live ones are delivered.
+func TestReapedWaitingHeadersKeepFCFSOrder(t *testing.T) {
 	r, caps := build(t, reqConfig())
 	msgs := make([]*flit.Message, 4)
 	for v := 0; v < 4; v++ {
@@ -53,44 +81,27 @@ func TestRemoveRequestCompactsAndZeroes(t *testing.T) {
 		deliver(r, 0, v, msgs[v], period)
 	}
 	// All four headers are visible: stage 2 submits four requests for
-	// (port 1, VC 0); stage 3 grants the first and keeps three.
+	// (port 1, VC 0); stage 3 grants the first and three wait.
 	step(t, r, 3*period)
-	if got := reqIdxs(r, 1); len(got) != 3 {
-		t.Fatalf("queued requests = %d, want 3", len(got))
+	if got := waitingAt(r, 1); !slices.Equal(got, []int32{1, 2, 3}) {
+		t.Fatalf("waiting headers %v, want input VCs [1 2 3]", got)
 	}
-	nodes := len(r.reqNodes)
 
 	r.kill(0, msgs[1], obs.CauseTimeout)
 	r.kill(0, msgs[2], obs.CauseTimeout)
 	step(t, r, 4*period)
-
-	live := reqIdxs(r, 1)
-	if len(live) != 1 {
-		t.Fatalf("requests after reaping two dead heads = %d, want 1", len(live))
+	if got := waitingAt(r, 1); !slices.Equal(got, []int32{3}) {
+		t.Fatalf("waiting headers after reaping two dead heads %v, want input VC [3]", got)
 	}
-	if live[0] != 3 { // port 0, VC 3 — the FCFS-next live header
-		t.Fatalf("surviving request is input VC %d, want 3", live[0])
-	}
-	if r.outs[1].stale != 0 {
-		t.Fatalf("stale counter = %d after compaction, want 0", r.outs[1].stale)
-	}
-	// Freed nodes are cleared and recirculate through the free list; the
-	// arena itself must not have grown.
-	if len(r.reqNodes) != nodes {
-		t.Fatalf("request arena grew %d → %d during retirement", nodes, len(r.reqNodes))
-	}
-	for n := r.reqFree; n >= 0; n = r.reqNodes[n].next {
-		if r.reqNodes[n].in != -1 || r.reqNodes[n].at != 0 || r.reqNodes[n].seq != 0 {
-			t.Fatalf("freed request node %d still holds %+v", n, r.reqNodes[n])
+	for v := 1; v <= 2; v++ {
+		if in := &r.inv[v]; in.phase != vcIdle || in.headMsg != nil || !in.q.empty() {
+			t.Fatalf("reaped input VC %d: phase %v, head %v, %d flits; want idle and empty",
+				v, in.phase, in.headMsg, in.q.len())
 		}
-	}
-	if freeCount(r) == 0 {
-		t.Fatal("no freed nodes on the arena free list")
 	}
 
 	// Drain: the two live messages are delivered, the dead ones reaped.
-	final := run(r, 5*period, 40)
-	_ = final
+	run(r, 5*period, 40)
 	if !r.Quiesced() {
 		t.Fatal("router did not quiesce after draining")
 	}
@@ -108,8 +119,8 @@ func TestRemoveRequestCompactsAndZeroes(t *testing.T) {
 
 // TestRetiredRequestCoexistsWithResubmission covers the same-cycle hazard:
 // a VC whose dead head is reaped resubmits a request for the next buffered
-// header in the same stage-2 pass, so the retired node and the new live
-// node briefly share the queue. The seq match must grant only the live one.
+// header in the same stage-2 pass. The VC then waits once, for the new
+// header, with a fresh sequence number and request instant.
 func TestRetiredRequestCoexistsWithResubmission(t *testing.T) {
 	r, caps := build(t, reqConfig())
 	blocker := msg(1, 1, 0, 2, 100)
@@ -118,16 +129,22 @@ func TestRetiredRequestCoexistsWithResubmission(t *testing.T) {
 	deliver(r, 0, 0, blocker, period)
 	t1 := deliver(r, 0, 1, dead, period)
 	deliver(r, 0, 1, next, t1) // queued behind dead on the same VC
-	step(t, r, 4*period)       // blocker granted; dead's request queued
-	if got := reqIdxs(r, 1); len(got) != 1 {
-		t.Fatalf("queued requests = %d, want 1", len(got))
+	step(t, r, 4*period)       // blocker granted; dead's header waits
+	if got := waitingAt(r, 1); !slices.Equal(got, []int32{1}) {
+		t.Fatalf("waiting headers %v, want input VC [1]", got)
+	}
+	if in := &r.inv[1]; in.reqSeq != 1 || in.reqAt != 4*period {
+		t.Fatalf("dead's request seq %d at %d, want seq 1 at %d", in.reqSeq, in.reqAt, 4*period)
 	}
 
 	r.kill(0, dead, obs.CauseTimeout)
-	step(t, r, 5*period) // reap retires dead's entry, next's header resubmits
-	live := reqIdxs(r, 1)
-	if len(live) != 1 || live[0] != 1 || r.inv[1].headMsg != next {
-		t.Fatalf("live request not preserved across retirement: idxs=%v head=%v", live, r.inv[1].headMsg)
+	step(t, r, 5*period) // reap retires dead's request, next's header resubmits
+	in := &r.inv[1]
+	if got := waitingAt(r, 1); !slices.Equal(got, []int32{1}) || in.headMsg != next {
+		t.Fatalf("waiting headers %v with head %v, want input VC [1] waiting for message 3", got, in.headMsg)
+	}
+	if in.reqSeq != 2 || in.reqAt != 5*period {
+		t.Fatalf("resubmitted request seq %d at %d, want seq 2 at %d", in.reqSeq, in.reqAt, 5*period)
 	}
 
 	run(r, 6*period, 40)
@@ -143,37 +160,30 @@ func TestRetiredRequestCoexistsWithResubmission(t *testing.T) {
 	}
 }
 
-// TestSetLinkUpZeroesClearedRequests pins the interaction between lazy
-// retirement and link failure: taking a link down resets the live waiters
-// for rerouting and frees the cleared queue's nodes so no request slot
-// keeps its state past the clear.
-func TestSetLinkUpZeroesClearedRequests(t *testing.T) {
+// TestSetLinkUpReroutesWaitingHeaders pins link failure at a port with a
+// waiting header: taking the link down returns the header to routing, so
+// no header waits at the dead port, and the next cycles kill both worms
+// for want of a route.
+func TestSetLinkUpReroutesWaitingHeaders(t *testing.T) {
 	r, _ := build(t, reqConfig())
 	blocker := msg(1, 1, 0, 4, 100)
 	waiter := msg(2, 1, 0, 2, 100)
 	deliver(r, 0, 0, blocker, period)
 	deliver(r, 0, 1, waiter, period)
-	step(t, r, 3*period) // blocker granted on port 1, waiter queued
-	if got := reqIdxs(r, 1); len(got) != 1 {
-		t.Fatalf("queued requests = %d, want 1", len(got))
+	step(t, r, 3*period) // blocker granted on port 1, waiter waits
+	if got := waitingAt(r, 1); !slices.Equal(got, []int32{1}) {
+		t.Fatalf("waiting headers %v, want input VC [1]", got)
 	}
 
-	freeBefore := freeCount(r)
 	r.SetLinkUp(1, false)
 	if err := r.CheckOccupancy(); err != nil {
 		t.Fatalf("after SetLinkUp: %v", err)
 	}
-	if got := reqIdxs(r, 1); len(got) != 0 {
-		t.Fatalf("request queue not cleared on link down: %d", len(got))
+	if got := waitingAt(r, 1); len(got) != 0 {
+		t.Fatalf("headers %v still wait at the dead port", got)
 	}
-	if r.outs[1].reqLen != 0 || r.outs[1].stale != 0 {
-		t.Fatalf("reqLen/stale = %d/%d after clear, want 0/0", r.outs[1].reqLen, r.outs[1].stale)
-	}
-	if freeCount(r) != freeBefore+1 {
-		t.Fatalf("cleared request node not returned to the free list")
-	}
-	if ph := r.inv[1].phase; ph != vcIdle {
-		t.Fatalf("waiter phase = %v after link down, want vcIdle for rerouting", ph)
+	if in := &r.inv[1]; in.phase != vcIdle || in.headMsg != nil {
+		t.Fatalf("waiter phase %v, head %v after link down, want vcIdle for rerouting", in.phase, in.headMsg)
 	}
 
 	// With the only route dead, the next cycles kill and reap both worms;
@@ -184,6 +194,50 @@ func TestSetLinkUpZeroesClearedRequests(t *testing.T) {
 	}
 	if !blocker.Dead || !waiter.Dead {
 		t.Fatal("messages straddling or routed to the dead link not killed")
+	}
+}
+
+// TestRestoreRejectsRequestListsThatDisagree pins the restore check on a
+// port's request list, which repeats what the input-VC table says: an
+// entry naming no header waiting there with that sequence number, and a
+// non-zero count of retired requests, are both refused as corrupt.
+func TestRestoreRejectsRequestListsThatDisagree(t *testing.T) {
+	cfg := reqConfig()
+	r, _ := build(t, cfg)
+	for v := 0; v < 4; v++ {
+		deliver(r, 0, v, msg(uint64(v+1), 1, 0, 2, 100), period)
+	}
+	step(t, r, 3*period) // input VCs 1, 2 and 3 wait at port 1
+	data := checkpoint(t, r)
+	if _, err := restore(t, cfg, data); err != nil {
+		t.Fatalf("unaltered checkpoint refused: %v", err)
+	}
+	// Port 1's list: three entries (in port, VC, request instant, seq),
+	// then the retired-request count.
+	var list []byte
+	for _, v := range []int64{3, 0, 1, int64(3 * period), 1} {
+		list = binary.LittleEndian.AppendUint64(list, uint64(v))
+	}
+	if n := bytes.Count(data, list); n != 1 {
+		t.Fatalf("port 1's request list found %d times in the checkpoint, want once", n)
+	}
+	at := bytes.Index(data, list)
+	for _, c := range []struct {
+		name string
+		off  int
+	}{
+		{"first entry's sequence number", at + 4*8},
+		{"retired-request count", at + (1+3*4)*8},
+	} {
+		bad := slices.Clone(data)
+		bad[c.off]++
+		body := bad[:len(bad)-4]
+		binary.LittleEndian.PutUint32(bad[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		_, err := restore(t, cfg, bad)
+		var inv *snapshot.InvariantError
+		if !errors.As(err, &inv) || inv.Invariant != "request-queue" {
+			t.Errorf("checkpoint with the %s altered: error %v, want a request-queue invariant error", c.name, err)
+		}
 	}
 }
 

@@ -11,13 +11,6 @@ type ring struct {
 	n    int
 }
 
-func newRing(capacity int) ring {
-	if capacity <= 0 {
-		panic("core: ring capacity must be positive")
-	}
-	return ring{buf: make([]flit.Flit, capacity)}
-}
-
 // ringOver builds a ring over a caller-supplied buffer — an arena slab
 // carve, so a fabric's worth of VC buffers is one allocation.
 func ringOver(buf []flit.Flit) ring {

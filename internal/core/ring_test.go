@@ -7,7 +7,7 @@ import (
 )
 
 func TestRingFIFO(t *testing.T) {
-	r := newRing(3)
+	r := ringOver(make([]flit.Flit, 3))
 	msgs := []*flit.Message{{ID: 1}, {ID: 2}, {ID: 3}}
 	for i, m := range msgs {
 		r.push(flit.Flit{Msg: m, Seq: i})
@@ -27,7 +27,7 @@ func TestRingFIFO(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := newRing(2)
+	r := ringOver(make([]flit.Flit, 2))
 	m := &flit.Message{}
 	for i := 0; i < 100; i++ {
 		r.push(flit.Flit{Msg: m, Seq: i})
@@ -45,7 +45,7 @@ func TestRingOverflowPanics(t *testing.T) {
 			t.Fatal("overflow did not panic")
 		}
 	}()
-	r := newRing(1)
+	r := ringOver(make([]flit.Flit, 1))
 	r.push(flit.Flit{})
 	r.push(flit.Flit{})
 }
@@ -56,7 +56,7 @@ func TestRingPeekEmptyPanics(t *testing.T) {
 			t.Fatal("peek on empty did not panic")
 		}
 	}()
-	r := newRing(1)
+	r := ringOver(make([]flit.Flit, 1))
 	r.peek()
 }
 
@@ -66,11 +66,11 @@ func TestRingZeroCapacityPanics(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	newRing(0)
+	ringOver(nil)
 }
 
 func TestRingPopReleasesMessage(t *testing.T) {
-	r := newRing(1)
+	r := ringOver(make([]flit.Flit, 1))
 	r.push(flit.Flit{Msg: &flit.Message{}})
 	r.pop()
 	if r.buf[0].Msg != nil {

@@ -23,16 +23,17 @@
 // spend three (they bypass stages 2–3).
 //
 // Hot state lives in a struct-of-arrays layout: per-VC input and output
-// tables are flat slices indexed port·VCs+vc, flit rings carve one shared
-// buffer slab, and crossbar requests are nodes of an intrusive per-router
-// arena recycled through a free list — so a fabric of hundreds of routers
-// is a handful of large allocations, not a pointer forest (DESIGN.md §18).
-// Per-port occupancy bitmasks record which VCs hold anything, so a cycle
-// costs in proportion to the occupied VCs, and a router with none returns
-// from Step at once. Phase masks narrow each stage to the VCs it can act
-// on, and headers waiting for an output VC retry allocation only after
-// something that could change the answer, such as the release of one of
-// their port's output VCs.
+// tables are flat slices indexed port·VCs+vc and flit rings carve one
+// shared buffer slab, so a fabric of hundreds of routers is a handful of
+// large allocations, not a pointer forest (DESIGN.md §18). Per-port
+// occupancy bitmasks record which VCs hold anything, so a cycle costs in
+// proportion to the occupied VCs, and a router with none returns from Step
+// at once. Phase masks narrow each stage to the VCs it can act on. A header
+// waiting for an output VC is recorded once, in its input VC: its phase
+// bit, target port and request sequence number give each port's FCFS
+// order. Waiting headers retry allocation only after something that could
+// change the answer, such as the release of one of their port's output
+// VCs.
 package core
 
 import (
@@ -180,40 +181,26 @@ type inVC struct {
 	recvClk  sched.VClock
 	received int
 
+	// phase is the head message's lifecycle. port/vcIdx locate this VC for
+	// trace events; blkCause is the cause of the currently open blocking
+	// span (CauseNone = no open span). The four share one word ahead of
+	// the head-side state, so the struct packs into 120 bytes and every
+	// field stage 4 reads lies within its first 104.
+	phase       vcPhase
+	port, vcIdx int16     //mw:snapcover — static trace coordinates, assigned at construction
+	blkCause    obs.Cause //mw:snapcover — open blocking spans are a trace concern; tracing refuses checkpoints
+
 	// Head-side state: the message whose flits are being switched.
-	phase     vcPhase
 	headMsg   *flit.Message
 	outPort   int
 	outVC     int
 	grantedAt sim.Time
-	// reqSeq is the sequence number of this VC's live crossbar request; an
-	// arena node whose seq no longer matches has been retired and is freed
-	// by the next stage-3 pass.
+	// reqSeq and reqAt are the sequence number and instant of the VC's
+	// latest crossbar request. While the phase is vcRequested the header
+	// waits for an output VC of outPort: reqSeq orders it FCFS among that
+	// port's waiting headers, and its grant wait runs from reqAt.
 	reqSeq uint64
-
-	// port/vcIdx locate this VC for trace events; blkCause is the cause of
-	// the currently open blocking span (CauseNone = no open span).
-	port, vcIdx int16     //mw:snapcover — static trace coordinates, assigned at construction
-	blkCause    obs.Cause //mw:snapcover — open blocking spans are a trace concern; tracing refuses checkpoints
-}
-
-// reqNode is one pending crossbar arbitration request (stage 3), a node of
-// the router's request arena. Nodes chain into per-output-port FCFS lists
-// and recycle through a free list, so request churn allocates nothing once
-// the arena has grown to the working set.
-type reqNode struct {
-	in   int32 // flat input-VC index (port·VCs+vc)
-	next int32 // next node in the port's FCFS list / free list (-1 = end)
-	at   sim.Time
-	seq  uint64
-}
-
-// liveReq reports whether node n is still the current request of its input
-// VC: retired nodes keep their slot but stop matching the VC's phase and
-// reqSeq (the VC may meanwhile carry a newer request elsewhere).
-func (r *Router) liveReq(n *reqNode) bool {
-	in := &r.inv[n.in]
-	return in.phase == vcRequested && in.reqSeq == n.seq
+	reqAt  sim.Time
 }
 
 // outVC is one output virtual channel: its stage-5 staging buffer and
@@ -233,26 +220,13 @@ type outPort struct {
 	consumer Consumer //mw:snapcover — downstream wiring, rebuilt by the topology constructor
 	// endpoint marks ports that attach to an endpoint (NI/sink) rather than
 	// another router; at an endpoint port the message's DstVC is used.
-	endpoint bool //mw:snapcover — static wiring property, set when the port is connected
-	// reqHead heads the FCFS virtual-channel-allocation list (stage 3) of
-	// arena nodes: headers wait here until an output VC of their class is
-	// free. Output VCs are held at message granularity (wormhole
-	// semantics); the crossbar output itself is matched per cycle in
-	// switch traversal.
-	reqHead int32
-	// reqLen counts list nodes; stale counts nodes retired by removeRequest
-	// but not yet freed: retirement is O(1) lazy (the node's seq stops
-	// matching its VC's reqSeq) and the stage-3 pass that already walks the
-	// list frees them. portLoad subtracts stale so intra-cycle load
-	// estimates are unchanged.
-	reqLen, stale int32
-	arb           sched.Arbiter // link VC multiplexer (point C)
-	reqTail       int32         //mw:snapcover — derived list-end cache; restore rebuilds it by re-appending the serialized FIFO walk
-	// retry flags the FCFS list for the next stage-3 walk. allocOutVC reads
-	// only the port's busy VCs, the VC partition and the message, so a
-	// header it refused stays refused until a request is pushed, an output
-	// VC is released, a request is retired or the partition moves; each of
-	// those raises the flag, and the walk clears it.
+	endpoint bool          //mw:snapcover — static wiring property, set when the port is connected
+	arb      sched.Arbiter // link VC multiplexer (point C)
+	// retry flags the port's waiting headers for the next stage-3 pass.
+	// allocOutVC reads only the port's busy VCs, the VC partition and the
+	// message, so a header it refused stays refused until a new header
+	// waits, an output VC is released or the partition moves; each of those
+	// raises the flag, and the pass clears it.
 	retry bool //mw:snapcover — derived; RestoreState flags every port
 }
 
@@ -303,9 +277,9 @@ type PortStats struct {
 
 // Router is one MediaWorm switch. Its per-port/per-VC hot state is a
 // struct-of-arrays: inv and outv are flat tables indexed port·VCs+vc,
-// inArbs holds the per-input-port multiplexers, outs the per-output-port
-// state, and reqNodes the crossbar-request arena — all carved from the
-// fabric-wide Arena when one is supplied.
+// inArbs holds the per-input-port multiplexers and outs the per-output-port
+// state — the VC tables carved from the fabric-wide Arena when one is
+// supplied.
 type Router struct {
 	rtVCs int      // current real-time VC partition size (adjustable)
 	seq   uint64   // arbitration sequence counter
@@ -315,10 +289,7 @@ type Router struct {
 	outv   []outVC
 	inArbs []sched.Arbiter
 	outs   []outPort
-	// reqNodes is the crossbar-request arena; nodes recycle through the
-	// free list headed by reqFree (declared with the derived state below).
-	reqNodes []reqNode
-	stats    Stats
+	stats  Stats
 	// Fault state (see DESIGN.md "Fault model"): per-output-port link
 	// health and injected stalls, per-port fault counters, and the optional
 	// per-flit corruption hook.
@@ -339,7 +310,8 @@ type Router struct {
 	outMask []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
 	// actMask and reqMask, laid out like inMask, mark the input VCs whose
 	// phase is vcActive and vcRequested. Stage 2 visits the idle VCs
-	// holding a header, inMask &^ (actMask|reqMask), and stage 4 visits
+	// holding a header, inMask &^ (actMask|reqMask), stage 3 reads each
+	// port's waiting headers from reqMask (see waiting) and stage 4 visits
 	// actMask; markIn keeps all three in step.
 	actMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
 	reqMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
@@ -351,12 +323,13 @@ type Router struct {
 	cfg       Config                           //mw:snapcover — run-immutable config; RestoreSim rebuilds the router from the checkpoint's embedded config and re-validates against it
 	nvc       int                              //mw:snapcover — copy of cfg.VCs, the flat-index stride
 	fullXb    bool                             //mw:snapcover — derived from cfg at construction
-	reqFree   int32                            //mw:snapcover — free-list head over unreferenced nodes; restore rebuilds it as it re-carves the request lists
 	corrupt   func(port int, f flit.Flit) bool //mw:snapcover — fault-injection hook; fault runs refuse checkpoints
 	routeBuf  []int                            //mw:snapcover — per-cycle scratch for health-filtered routing candidates
 	routeCand []int                            //mw:snapcover — per-cycle scratch handed to the routing function
-	// cands, claimed, claimedBy and picked are per-cycle scratch buffers,
-	// reused so the hot path does not allocate.
+	// The per-cycle scratch buffers below are sized in New, so the hot path
+	// does not allocate; the multiplexed crossbar's claim maps and the full
+	// crossbar's feeder tables are sized only for the kind in use.
+	waitBuf    []int32           //mw:snapcover — scratch for waiting (flat input-VC indexes, at most Ports·VCs)
 	cands      []sched.Candidate //mw:snapcover — per-cycle scratch
 	claimed    []bool            //mw:snapcover — per-cycle scratch
 	claimedBy  []int8            //mw:snapcover — per-cycle scratch
@@ -385,8 +358,19 @@ func New(cfg Config) (*Router, error) {
 	}
 	a := cfg.Arena
 	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, fullXb: cfg.FullCrossbar}
-	pv, _, masks, _, reqCap := arenaShape(cfg)
+	pv, _, masks, _ := arenaShape(cfg)
+	r.waitBuf = make([]int32, 0, pv)
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
+	if r.fullXb {
+		r.feeder = make([]int32, pv)
+		r.feederCand = make([]sched.Candidate, pv)
+		r.fed = make([]uint64, 2*cfg.Ports)
+	} else {
+		r.claimed = make([]bool, cfg.Ports)
+		r.claimedBy = make([]int8, cfg.Ports)
+		r.picked = make([]int8, cfg.Ports)
+		r.claimBlk = make([]uint64, 2*cfg.Ports)
+	}
 	r.inv = carve(&a.inv, pv)
 	r.outv = carve(&a.outv, pv)
 	occ, w := carve(&a.masks, masks), 2*cfg.Ports
@@ -395,8 +379,6 @@ func New(cfg Config) (*Router, error) {
 	r.killed = &r.ownKilled
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
-	r.reqNodes = carve(&a.reqs, reqCap)[:0]
-	r.reqFree = -1
 	health := carve(&a.health, 2*cfg.Ports)
 	r.linkUp, r.stalled = health[:cfg.Ports:cfg.Ports], health[cfg.Ports:]
 	r.portStats = carve(&a.pstats, cfg.Ports)
@@ -415,7 +397,6 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.inArbs[p] = sched.NewArbiter(cfg.Policy, cfg.Sched)
 		r.outs[p].arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
-		r.outs[p].reqHead, r.outs[p].reqTail = -1, -1
 	}
 	if cfg.Tracer.Enabled() {
 		r.trc = cfg.Tracer
@@ -522,18 +503,10 @@ func (r *Router) markOut(p, v int) {
 }
 
 // idle reports whether a Step would find nothing to do: no occupied input
-// or output VC and no request list. Between cycles every request node is
-// live, so its VC's bit is set; the list check keeps a restored router
-// with stale nodes stepping until stage 3 frees them, as they are
-// snapshot state.
+// or output VC. A waiting header's VC is occupied, so the masks cover it.
 func (r *Router) idle() bool {
 	for i := range r.inMask {
 		if r.inMask[i]|r.outMask[i] != 0 {
-			return false
-		}
-	}
-	for p := range r.outs {
-		if r.outs[p].reqHead >= 0 {
 			return false
 		}
 	}
@@ -546,35 +519,29 @@ func (r *Router) idle() bool {
 // message is killed.
 func (r *Router) SetPortStalled(p int, stalled bool) { r.stalled[p] = stalled }
 
-// allocReq pops a request node off the free list, growing the arena slab
-// only when every node is in use.
-func (r *Router) allocReq() int32 {
-	if r.reqFree < 0 {
-		r.reqNodes = append(r.reqNodes, reqNode{}) //mw:hotpath — amortized one-time growth to the request working set; nodes recycle through the free list after
-		return int32(len(r.reqNodes) - 1)
+// waiting returns the headers waiting for an output VC of port p — the
+// requested input VCs whose outPort is p — as flat input-VC indexes in
+// FCFS order, which is reqSeq order. It scans every requested VC of the
+// router and insertion-sorts the port's few. The result is scratch that
+// the next call overwrites.
+func (r *Router) waiting(p int) []int32 {
+	r.waitBuf = r.waitBuf[:0]
+	for wi, w := range r.reqMask {
+		for ; w != 0; w &= w - 1 {
+			i := (wi>>1)*r.nvc + ((wi&1)<<6 | bits.TrailingZeros64(w))
+			in := &r.inv[i]
+			if in.outPort != p {
+				continue
+			}
+			r.waitBuf = append(r.waitBuf, int32(i))
+			j := len(r.waitBuf) - 1
+			for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
+				r.waitBuf[j] = r.waitBuf[j-1]
+			}
+			r.waitBuf[j] = int32(i)
+		}
 	}
-	n := r.reqFree
-	r.reqFree = r.reqNodes[n].next
-	return n
-}
-
-// freeReq returns node n to the free list, clearing it so retired requests
-// release no references.
-func (r *Router) freeReq(n int32) {
-	r.reqNodes[n] = reqNode{in: -1, next: r.reqFree}
-	r.reqFree = n
-}
-
-// pushReq appends node n to output port op's FCFS list.
-func (r *Router) pushReq(op *outPort, n int32) {
-	r.reqNodes[n].next = -1
-	if op.reqTail < 0 {
-		op.reqHead = n
-	} else {
-		r.reqNodes[op.reqTail].next = n
-	}
-	op.reqTail = n
-	op.reqLen++
+	return r.waitBuf
 }
 
 // SetLinkUp changes output port p's link health. Taking a link down kills
@@ -593,25 +560,14 @@ func (r *Router) SetLinkUp(p int, up bool) {
 	if up {
 		return
 	}
-	op := &r.outs[p]
-	// Pending requests: return the headers to routing (stage 2 will pick a
-	// healthy candidate next cycle, or kill the message if none is left).
-	// Retired nodes are skipped — their VC may already carry a live request
-	// to another port — and every node is freed so dropped requests release
-	// their references.
-	for n := op.reqHead; n >= 0; {
-		next := r.reqNodes[n].next
-		if r.liveReq(&r.reqNodes[n]) {
-			in := &r.inv[r.reqNodes[n].in]
-			in.phase = vcIdle
-			in.headMsg = nil
-			r.markIn(in)
-		}
-		r.freeReq(n)
-		n = next
+	// Waiting headers return to routing: stage 2 will pick a healthy
+	// candidate next cycle, or kill the message if none is left.
+	for _, i := range r.waiting(p) {
+		in := &r.inv[i]
+		in.phase = vcIdle
+		in.headMsg = nil
+		r.markIn(in)
 	}
-	op.reqHead, op.reqTail = -1, -1
-	op.reqLen, op.stale = 0, 0
 	// Staged flits and output-VC holders are beyond rerouting: kill them.
 	for v := 0; v < r.nvc; v++ {
 		ov := r.outAt(p, v)
@@ -758,13 +714,13 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 
 // Step advances the router one cycle ending at time now. The fabric calls
 // Step on every router each cycle, then lets NIs inject. A router with no
-// occupied VC and no request list returns at once: the stages would find
-// nothing to do. The cycle instant is still recorded, as the snapshot
-// carries it. Otherwise each stage visits only what it can act on: stage 2
-// the idle VCs holding a header (every occupied VC once a message has been
-// killed), stage 3 the request lists of ports flagged for retry, stage 4
-// the granted VCs (every occupied VC when tracing) and stage 5 the output
-// VCs staging flits.
+// occupied VC returns at once: the stages would find nothing to do. The
+// cycle instant is still recorded, as the snapshot carries it. Otherwise
+// each stage visits only what it can act on: stage 2 the idle VCs holding
+// a header (every occupied VC once a message has been killed), stage 3 the
+// waiting headers of ports flagged for retry, stage 4 the granted VCs
+// (every occupied VC when tracing) and stage 5 the output VCs staging
+// flits.
 //
 //mw:hotpath
 func (r *Router) Step(now sim.Time) {
@@ -779,7 +735,7 @@ func (r *Router) Step(now sim.Time) {
 
 // routeAndArbitrate implements pipeline stages 2–3 for header flits:
 // submit crossbar requests for idle VCs whose head is an eligible header,
-// then process each output port's FCFS request list.
+// then serve each output port's waiting headers in FCFS order.
 func (r *Router) routeAndArbitrate(now sim.Time) {
 	// Stage 2: dead-message reaping, then routing decision + request
 	// submission. Reaping first keeps killed worms from occupying VCs or
@@ -788,7 +744,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// occupied, so no dead worm is missed. Until then only idle VCs holding
 	// a header can act. Once it has, every occupied VC is visited, so a
 	// reap stays interleaved with routing in VC order: it releases busy
-	// VCs and retires requests that portLoad reads for later VCs.
+	// VCs and retires waiting headers that portLoad counts for later VCs.
 	for p := 0; p < len(r.outs); p++ {
 		for wi := 0; wi < 2; wi++ {
 			w := r.inMask[2*p+wi]
@@ -838,25 +794,22 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 				in.headMsg = msg
 				in.outPort = out
 				in.phase = vcRequested
-				in.reqSeq = r.seq
+				in.reqSeq, in.reqAt = r.seq, now
 				r.markIn(in)
-				n := r.allocReq()
-				r.reqNodes[n] = reqNode{in: int32(p*r.nvc + v), next: -1, at: now, seq: r.seq}
-				r.pushReq(&r.outs[out], n)
 				r.outs[out].retry = true
 				r.seq++
 				r.stats.RequestsQueued++
 			}
 		}
 	}
-	// Stage 3: virtual-channel allocation, FCFS per output port. Requests
-	// are granted the cycle they are submitted when a VC is free (the
-	// stage-2/3 units are distinct pipeline stages, so routing and
+	// Stage 3: virtual-channel allocation, FCFS per output port. Output
+	// VCs are held at message granularity (wormhole semantics); the
+	// crossbar output itself is matched per cycle in switch traversal.
+	// Requests are granted the cycle they are submitted when a VC is free
+	// (the stage-2/3 units are distinct pipeline stages, so routing and
 	// allocation of one header overlap); the grant still takes effect at
-	// the crossbar one cycle later via grantedAt. The walk rebuilds each
-	// port's list in place, freeing granted and retired nodes back to the
-	// arena so their references are released. Only a port flagged for
-	// retry is walked: on any other, every node is a live request that
+	// the crossbar one cycle later via grantedAt. Only a port flagged for
+	// retry is served: on any other, every waiting header is one that
 	// allocOutVC refused and would refuse again.
 	for p := 0; p < len(r.outs); p++ {
 		op := &r.outs[p]
@@ -864,25 +817,10 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 			continue
 		}
 		op.retry = false
-		if op.reqHead < 0 {
-			continue
-		}
-		n := op.reqHead
-		op.reqHead, op.reqTail = -1, -1
-		op.reqLen = 0
-		for n >= 0 {
-			next := r.reqNodes[n].next
-			node := &r.reqNodes[n]
-			if !r.liveReq(node) {
-				r.freeReq(n) // retired by removeRequest
-				n = next
-				continue
-			}
-			in := &r.inv[node.in]
+		for _, i := range r.waiting(p) {
+			in := &r.inv[i]
 			vc, ok := r.allocOutVC(p, op, in.headMsg)
 			if !ok {
-				r.pushReq(op, n)
-				n = next
 				continue
 			}
 			if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
@@ -893,18 +831,15 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 			in.grantedAt = now
 			r.markIn(in)
 			r.stats.MessagesRouted++
-			r.stats.GrantWait += uint64(now - node.at)
+			r.stats.GrantWait += uint64(now - in.reqAt)
 			r.stats.GrantWaitCount++
 			if r.trc != nil {
 				r.trc.Emit(obs.Event{At: now, Kind: obs.EvVCAlloc,
 					Router: int16(r.cfg.ID), Port: int16(p), VC: int16(vc),
 					Msg: in.headMsg.ID, Class: in.headMsg.Class,
-					Arg: int64(now - node.at)})
+					Arg: int64(now - in.reqAt)})
 			}
-			r.freeReq(n)
-			n = next
 		}
-		op.stale = 0
 	}
 }
 
@@ -916,8 +851,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 // so the final link needs no per-message VC exclusivity. At a transit
 // (router-to-router) port the downstream input buffer demultiplexes by VC,
 // so messages must hold a VC exclusively; the lowest free VC in the
-// message's class partition — narrowed by the topology's VC selector, the
-// dateline hook that keeps torus routing deadlock-free — is taken.
+// message's range (see vcRange) is taken.
 func (r *Router) allocOutVC(p int, op *outPort, msg *flit.Message) (int, bool) {
 	if op.endpoint {
 		if r.cfg.ExclusiveEndpointVCs && r.outAt(p, msg.DstVC).busy != nil {
@@ -925,10 +859,7 @@ func (r *Router) allocOutVC(p int, op *outPort, msg *flit.Message) (int, bool) {
 		}
 		return msg.DstVC, true
 	}
-	lo, hi := r.classRange(msg.Class)
-	if r.cfg.VCSel != nil {
-		lo, hi = r.cfg.VCSel(r.cfg.ID, p, msg, lo, hi)
-	}
+	lo, hi := r.vcRange(p, msg)
 	for v := lo; v < hi; v++ {
 		if r.outAt(p, v).busy == nil {
 			return v, true
@@ -957,8 +888,10 @@ func (r *Router) liveRoute(msg *flit.Message) []int {
 }
 
 // reapInVC removes dead-message state from one input VC: buffered flits of
-// killed messages are dropped, and a killed head message releases its
-// request or output-VC grant so the resources recirculate.
+// killed messages are dropped, and a killed head message goes idle,
+// releasing its output-VC grant so the VC recirculates. A waiting header's
+// request is retired by the phase change alone: it holds nothing that
+// another header could be granted, so no port needs a retry.
 func (r *Router) reapInVC(p int, in *inVC) {
 	if in.recvMsg != nil && in.recvMsg.Dead {
 		in.recvMsg = nil
@@ -969,15 +902,8 @@ func (r *Router) reapInVC(p int, in *inVC) {
 	}
 	if in.headMsg != nil && in.headMsg.Dead {
 		r.traceUnblock(in, r.now)
-		switch in.phase {
-		case vcIdle:
-			// Nothing granted yet, so nothing to tear down.
-		case vcRequested:
-			r.removeRequest(in)
-		case vcActive:
-			if r.outAt(in.outPort, in.outVC).busy == in.headMsg {
-				r.releaseOut(in.outPort, in.outVC)
-			}
+		if in.phase == vcActive && r.outAt(in.outPort, in.outVC).busy == in.headMsg {
+			r.releaseOut(in.outPort, in.outVC)
 		}
 		in.phase = vcIdle
 		in.headMsg = nil
@@ -985,24 +911,18 @@ func (r *Router) reapInVC(p int, in *inVC) {
 	r.markIn(in)
 }
 
-// removeRequest retires in's pending crossbar request in O(1): the node
-// stays in its output port's FCFS list but stops matching in.reqSeq once
-// the caller resets in's phase, and the port is flagged so the same
-// cycle's stage-3 walk frees it back to the arena. The old ordered
-// mid-slice delete re-copied the queue tail on every removal, and left
-// dangling references in the backing array.
-func (r *Router) removeRequest(in *inVC) {
-	op := &r.outs[in.outPort]
-	op.stale++
-	op.retry = true
-}
-
-// classRange returns the VC partition [lo, hi) for a traffic class.
-func (r *Router) classRange(c flit.Class) (lo, hi int) {
-	if c.RealTime() {
-		return 0, r.rtVCs
+// vcRange returns the output VCs [lo, hi) msg may take at transit port p:
+// its class partition, narrowed by the topology's VC selector — the
+// dateline hook that keeps torus routing deadlock-free.
+func (r *Router) vcRange(p int, msg *flit.Message) (lo, hi int) {
+	lo, hi = r.rtVCs, r.cfg.VCs
+	if msg.Class.RealTime() {
+		lo, hi = 0, r.rtVCs
 	}
-	return r.rtVCs, r.cfg.VCs
+	if r.cfg.VCSel != nil {
+		lo, hi = r.cfg.VCSel(r.cfg.ID, p, msg, lo, hi)
+	}
+	return lo, hi
 }
 
 // RTVCs returns the current real-time VC partition size.
@@ -1022,10 +942,10 @@ func (r *Router) SetRTVCs(n int) {
 	}
 }
 
-// portLoad estimates congestion on output port p for fat-link selection.
+// portLoad estimates congestion on output port p for fat-link selection:
+// its waiting headers, held output VCs and staged flits.
 func (r *Router) portLoad(p int) int {
-	op := &r.outs[p]
-	load := int(op.reqLen - op.stale) // retired nodes carry no load
+	load := len(r.waiting(p))
 	for v := 0; v < r.nvc; v++ {
 		ov := &r.outv[p*r.nvc+v]
 		if ov.busy != nil {
@@ -1043,19 +963,14 @@ func (r *Router) portLoad(p int) int {
 // Full crossbar: every eligible VC forwards one flit (each input VC has a
 // dedicated crossbar port).
 func (r *Router) switchTraversal(now sim.Time) {
-	cands := r.cands
-	defer func() { r.cands = cands }()
 	if r.fullXb {
 		r.fullTraversal(now)
 		return
 	}
+	// A port offers at most one candidate per VC, so cands never outgrows
+	// the VCs capacity New gave it.
+	cands := r.cands
 	n := len(r.outs)
-	if len(r.claimed) < n {
-		r.claimed = make([]bool, n)      //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-		r.claimedBy = make([]int8, n)    //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-		r.picked = make([]int8, n)       //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-		r.claimBlk = make([]uint64, 2*n) //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-	}
 	claimed := r.claimed
 	for i := range claimed {
 		claimed[i] = false
@@ -1205,12 +1120,6 @@ func nextPort(p, n int) int {
 // analysis.
 func (r *Router) fullTraversal(now sim.Time) {
 	m := r.nvc
-	total := len(r.outs) * m
-	if len(r.feeder) < total {
-		r.feeder = make([]int32, total)               //mw:hotpath — lazy one-time sizing to ports×VCs; never reallocated after
-		r.feederCand = make([]sched.Candidate, total) //mw:hotpath — lazy one-time sizing to ports×VCs; never reallocated after
-		r.fed = make([]uint64, len(r.outMask))        //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
-	}
 	// fed marks the output VCs that found a feeder this cycle, laid out
 	// like outMask; feeder entries without a bit are stale.
 	for i := range r.fed {
@@ -1304,8 +1213,7 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 // per cycle, chosen by the VC multiplexer among staged flits with downstream
 // credit.
 func (r *Router) transmit(now sim.Time) {
-	cands := r.cands
-	defer func() { r.cands = cands }()
+	cands := r.cands // at most one candidate per VC: never outgrows New's capacity
 	for p := 0; p < len(r.outs); p++ {
 		if *r.killed {
 			r.reapOutPort(p)
@@ -1393,8 +1301,8 @@ type Blocked struct {
 	// VC, or -1 while it still awaits virtual-channel allocation.
 	OutPort, OutVC int
 	// Msg is the waiting message. Holder, for ungranted worms, is the
-	// message holding the first busy VC of the class partition the worm
-	// needs (nil if none is visible). The watchdog kills Msg directly when
+	// message holding the first busy VC of the range allocation searches
+	// for the worm (nil if none is visible). The watchdog kills Msg directly when
 	// breaking a deadlock.
 	Msg, Holder *flit.Message
 }
@@ -1422,10 +1330,7 @@ func (r *Router) BlockedWorms() []Blocked {
 				if op.endpoint {
 					b.Holder = r.outAt(in.outPort, in.headMsg.DstVC).busy
 				} else {
-					lo, hi := r.classRange(in.headMsg.Class)
-					if r.cfg.VCSel != nil {
-						lo, hi = r.cfg.VCSel(r.cfg.ID, in.outPort, in.headMsg, lo, hi)
-					}
+					lo, hi := r.vcRange(in.outPort, in.headMsg)
 					for vv := lo; vv < hi; vv++ {
 						if m := r.outAt(in.outPort, vv).busy; m != nil {
 							b.Holder = m
@@ -1443,9 +1348,9 @@ func (r *Router) BlockedWorms() []Blocked {
 // CheckOccupancy recomputes the occupancy and phase masks and the idle
 // predicate from the VC tables and reports the first disagreement. It also
 // audits what the stages' shortcuts rely on: a requested VC's queue is
-// never empty, and a port whose retry flag is clear holds only live
-// requests that allocOutVC refuses. It walks every VC, so it is an audit
-// to run between cycles, not part of one.
+// never empty, and every header waiting at a port whose retry flag is
+// clear is one that allocOutVC refuses. It walks every VC, so it is an
+// audit to run between cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
 	for p := range r.outs {
 		for v := 0; v < 128; v++ {
@@ -1481,15 +1386,10 @@ func (r *Router) CheckOccupancy() error {
 		if op.retry {
 			continue
 		}
-		for n := op.reqHead; n >= 0; n = r.reqNodes[n].next {
-			node := &r.reqNodes[n]
-			if !r.liveReq(node) {
-				return fmt.Errorf("core: router %d output port %d holds a retired request but is not flagged for retry",
-					r.cfg.ID, p)
-			}
-			if _, ok := r.allocOutVC(p, op, r.inv[node.in].headMsg); ok {
+		for _, i := range r.waiting(p) {
+			if _, ok := r.allocOutVC(p, op, r.inv[i].headMsg); ok {
 				return fmt.Errorf("core: router %d output port %d could grant input VC %d/%d but is not flagged for retry",
-					r.cfg.ID, p, int(node.in)/r.nvc, int(node.in)%r.nvc)
+					r.cfg.ID, p, int(i)/r.nvc, int(i)%r.nvc)
 			}
 		}
 	}
@@ -1497,25 +1397,18 @@ func (r *Router) CheckOccupancy() error {
 	for i := range r.inv {
 		idle = idle && r.inv[i].q.empty() && r.inv[i].phase == vcIdle && r.outv[i].stage.empty()
 	}
-	for p := range r.outs {
-		idle = idle && r.outs[p].reqHead < 0
-	}
 	if r.idle() != idle {
 		return fmt.Errorf("core: router %d idle() = %v, VC state says %v", r.cfg.ID, r.idle(), idle)
 	}
 	return nil
 }
 
-// Quiesced reports whether the router holds no flits and no pending
-// requests — used by tests and the fabric's self-check.
+// Quiesced reports whether the router holds no flits, no waiting header
+// and no output-VC grant — used by tests and the fabric's self-check. It
+// reads the VC tables, not the masks, so it checks them independently.
 func (r *Router) Quiesced() bool {
 	for i := range r.inv {
 		if !r.inv[i].q.empty() || r.inv[i].phase != vcIdle {
-			return false
-		}
-	}
-	for p := range r.outs {
-		if r.outs[p].reqHead >= 0 {
 			return false
 		}
 	}

@@ -88,7 +88,7 @@ func sparseConfig() Config {
 func BenchmarkRouterStepSparse(b *testing.B) {
 	r := benchRouter(b, sparseConfig())
 	step := streamStepper(r)
-	for i := 0; i < 200; i++ { // warm-up: scratch sizing, first messages
+	for i := 0; i < 200; i++ { // warm-up: first messages
 		step()
 	}
 	b.ReportAllocs()
@@ -134,7 +134,7 @@ func blockedStepper(r *Router) func() {
 func BenchmarkRouterStepBlocked(b *testing.B) {
 	r := benchRouter(b, sparseConfig())
 	step := blockedStepper(r)
-	for i := 0; i < 200; i++ { // warm-up: grants, staging fills, scratch sizing
+	for i := 0; i < 200; i++ { // warm-up: grants, staging fills
 		step()
 	}
 	b.ReportAllocs()
@@ -145,9 +145,8 @@ func BenchmarkRouterStepBlocked(b *testing.B) {
 }
 
 // churnIteration drives one full request-churn cycle: four headers compete
-// for one exclusive endpoint VC, two die while queued, the survivors drain,
-// and the messages recycle through the pool. This is the path the arena
-// request nodes and buffer-parameter routing make allocation-free.
+// for one exclusive endpoint VC, two die while waiting, the survivors
+// drain, and the messages recycle through the pool.
 func churnIteration(r *Router, pool *flit.Pool, t sim.Time, id *uint64) sim.Time {
 	var msgs [4]*flit.Message
 	for v := 0; v < 4; v++ {
@@ -177,10 +176,10 @@ func churnIteration(r *Router, pool *flit.Pool, t sim.Time, id *uint64) sim.Time
 	return t
 }
 
-// BenchmarkRouterRequestChurn measures the stage-3 request queue under
-// contention with mid-queue retirement. Steady state must not allocate:
-// request nodes recycle through the router's arena free list and messages
-// through the flit.Pool (TestRouterChurnZeroAlloc is the proof).
+// BenchmarkRouterRequestChurn measures stage 3 under contention, with
+// waiting headers retired mid-queue. Steady state must not allocate:
+// waiting headers live in the input-VC table and messages recycle through
+// the flit.Pool (TestRouterChurnZeroAlloc is the proof).
 func BenchmarkRouterRequestChurn(b *testing.B) {
 	cfg := testConfig(sched.VirtualClock)
 	cfg.VCs = 4

@@ -11,15 +11,16 @@ import (
 // Checkpoint support. The router's structural shape (ports, VCs, buffer
 // capacities, crossbar kind, policy) is rebuilt from the run configuration;
 // a snapshot carries only the mutable state: buffered flits, per-VC worm
-// progress, the FCFS request queues, arbiter state, virtual clocks, fault
-// flags, and counters. Scratch buffers (candidate slices, claim maps) are
-// per-cycle and never live across an event, so they are not state; nor are
-// the occupancy and phase masks, which a restore derives from the VC
-// tables, or the stage-3 retry flags, which a restore raises on every
-// port. The wire format is layout-independent: the struct-of-arrays tables
-// serialize in the same (port, vc) nesting order as the original
-// per-object layout, and the request arena lists serialize as their FIFO
-// walk.
+// progress, each output port's waiting headers in FCFS order, arbiter
+// state, virtual clocks, fault flags, and counters. Scratch buffers
+// (candidate slices, claim maps) are per-cycle and never live across an
+// event, so they are not state; nor are the occupancy and phase masks,
+// which a restore derives from the VC tables, or the stage-3 retry flags,
+// which a restore raises on every port. The wire format is
+// layout-independent: the struct-of-arrays tables serialize in the same
+// (port, vc) nesting order as the original per-object layout. A port's
+// waiting headers are derived from the input-VC table, so their list
+// repeats what that table says and a restore checks the two agree.
 
 // CollectMessages registers every message the router holds a reference to.
 func (r *Router) CollectMessages(tbl *flit.MsgTable) {
@@ -93,15 +94,15 @@ func (r *Router) EncodeState(w *snapshot.Writer, tbl *flit.MsgTable) error {
 		if err := sched.EncodeArbiter(w, op.arb); err != nil {
 			return err
 		}
-		w.Int(int(op.reqLen))
-		for n := op.reqHead; n >= 0; n = r.reqNodes[n].next {
-			node := &r.reqNodes[n]
-			w.Int(int(node.in) / r.nvc)
-			w.Int(int(node.in) % r.nvc)
-			w.Time(node.at)
-			w.U64(node.seq)
+		ws := r.waiting(p)
+		w.Int(len(ws))
+		for _, i := range ws {
+			w.Int(int(i) / r.nvc)
+			w.Int(int(i) % r.nvc)
+			w.Time(r.inv[i].reqAt)
+			w.U64(r.inv[i].reqSeq)
 		}
-		w.Int(int(op.stale))
+		w.Int(0) // retired requests awaiting removal: none outlive a cycle
 		for v := 0; v < r.nvc; v++ {
 			ov := r.outAt(p, v)
 			encodeRing(w, tbl, &ov.stage)
@@ -189,23 +190,30 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			}
 		}
 	}
+	// The input-side masks are derived from the VC tables just restored;
+	// reqMask gives each port's waiting headers, which the request lists
+	// below must match entry for entry.
+	for i := range r.inv {
+		r.markIn(&r.inv[i])
+	}
 	for p := 0; p < len(r.outs); p++ {
 		op := &r.outs[p]
 		if err := sched.RestoreArbiter(rd, op.arb); err != nil {
 			return fmt.Errorf("router %d output port %d: %w", r.cfg.ID, p, err)
 		}
-		nreqs := rd.Len()
-		// Reset the port's request list into the arena free list before
-		// rebuilding it from the snapshot.
-		for n := op.reqHead; n >= 0; {
-			next := r.reqNodes[n].next
-			r.freeReq(n)
-			n = next
-		}
-		op.reqHead, op.reqTail = -1, -1
-		op.reqLen = 0
 		op.retry = true
-		for i := 0; i < nreqs; i++ {
+		ws := r.waiting(p)
+		nreqs := rd.Len()
+		if err := rd.Err(); err != nil {
+			return err
+		}
+		if nreqs != len(ws) {
+			return &snapshot.InvariantError{
+				Invariant: "request-queue",
+				Detail:    fmt.Sprintf("router %d out[%d]: %d requests for %d waiting headers", r.cfg.ID, p, nreqs, len(ws)),
+			}
+		}
+		for i, want := range ws {
 			inPort := rd.Int()
 			vc := rd.Int()
 			at := rd.Time()
@@ -213,27 +221,22 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			if err := rd.Err(); err != nil {
 				return err
 			}
-			if inPort < 0 || inPort >= r.cfg.Ports || vc < 0 || vc >= r.cfg.VCs {
+			in := &r.inv[want]
+			if inPort != int(want)/r.nvc || vc != int(want)%r.nvc || seq != in.reqSeq {
 				return &snapshot.InvariantError{
-					Invariant: "request-origin",
-					Detail:    fmt.Sprintf("router %d out[%d] request %d: in %d/%d", r.cfg.ID, p, i, inPort, vc),
+					Invariant: "request-queue",
+					Detail: fmt.Sprintf("router %d out[%d] request %d: in %d/%d seq %d, but the header waiting there is in %d/%d seq %d",
+						r.cfg.ID, p, i, inPort, vc, seq, int(want)/r.nvc, int(want)%r.nvc, in.reqSeq),
 				}
 			}
-			n := r.allocReq()
-			r.reqNodes[n] = reqNode{in: int32(inPort*r.nvc + vc), next: -1, at: at, seq: seq}
-			r.pushReq(op, n)
+			in.reqAt = at
 		}
-		stale := rd.Int()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		if stale < 0 || stale > nreqs {
+		if stale := rd.Int(); stale != 0 {
 			return &snapshot.InvariantError{
 				Invariant: "request-queue",
-				Detail:    fmt.Sprintf("router %d out[%d]: %d stale of %d requests", r.cfg.ID, p, stale, nreqs),
+				Detail:    fmt.Sprintf("router %d out[%d]: %d retired requests, but none outlive a cycle", r.cfg.ID, p, stale),
 			}
 		}
-		op.stale = int32(stale)
 		for v := 0; v < r.nvc; v++ {
 			ov := r.outAt(p, v)
 			if err := restoreRing(rd, tbl, &ov.stage, fmt.Sprintf("router %d out[%d][%d]", r.cfg.ID, p, v)); err != nil {
@@ -245,11 +248,6 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			}
 			sched.RestoreVClock(rd, &ov.clk)
 		}
-	}
-	// The occupancy and phase masks are derived from the VC tables just
-	// restored.
-	for i := range r.inv {
-		r.markIn(&r.inv[i])
 	}
 	for i := range r.outv {
 		r.markOut(i/r.nvc, i%r.nvc)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math/bits"
 
 	"mediaworm/internal/core"
@@ -34,8 +35,9 @@ func (q *msgQueue) pop() *flit.Message {
 	return m
 }
 
-// maxVCs bounds the stack-allocated candidate array in the NI's hot path.
-const maxVCs = 64
+// MaxNIVCs is the most virtual channels per physical channel an NI
+// supports: its backlog of non-empty injection queues is one 64-bit word.
+const MaxNIVCs = 64
 
 // niVC is one virtual channel's injection queue at a network interface.
 type niVC struct {
@@ -105,8 +107,8 @@ type NI struct {
 
 func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	cfg := r.Config()
-	if cfg.VCs > maxVCs {
-		panic("network: NI supports at most 64 VCs per physical channel")
+	if cfg.VCs > MaxNIVCs {
+		panic(fmt.Sprintf("network: NI supports at most %d VCs per physical channel", MaxNIVCs))
 	}
 	ni := &carve(&f.epa.nis, 1)[0]
 	ni.fab, ni.router, ni.port, ni.Node = f, r, port, node
@@ -180,9 +182,6 @@ func (n *NI) SetPolicyParams(k sched.Kind, p sched.Params) {
 // SetPolicer installs the injection-point meter→dropper chain (nil disables
 // policing). Call before traffic starts.
 func (n *NI) SetPolicer(p *police.Policer) { n.pol = p }
-
-// Policer returns the installed meter→dropper chain, or nil.
-func (n *NI) Policer() *police.Policer { return n.pol }
 
 // observeArb attaches the tracer and wraps the injection multiplexer so
 // its decisions are traced. Called by Fabric.SetTracer.

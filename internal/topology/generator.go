@@ -731,6 +731,10 @@ func classPartitions(cfg core.Config) []int {
 // endpoint arena, and every port the layout leaves unwired is terminated
 // with a network.DeadEnd so a route there fails loudly.
 func Build(engine *sim.Engine, spec Spec, base core.Config) (*Net, error) {
+	if base.VCs > network.MaxNIVCs {
+		return nil, fmt.Errorf("topology: %d VCs per physical channel, but an NI supports at most %d",
+			base.VCs, network.MaxNIVCs)
+	}
 	l, err := spec.Layout(base.Ports)
 	if err != nil {
 		return nil, err

@@ -84,6 +84,9 @@ func TestScale16x16TorusReplayIdentical(t *testing.T) {
 			t.Fatalf("NewSim: %v", err)
 		}
 		s.RunTo(at)
+		if waitingHeaders(s) == 0 {
+			t.Fatal("no header waits for an output VC at the checkpoint instant")
+		}
 		var buf bytes.Buffer
 		if err := s.WriteCheckpoint(&buf); err != nil {
 			t.Fatalf("WriteCheckpoint: %v", err)
