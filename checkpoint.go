@@ -306,7 +306,7 @@ func (s *Sim) Finish() (Result, error) {
 		for _, ni := range s.net.NIs {
 			pr.MeterExceed += ni.MeterExceed
 			pr.MeterViolate += ni.MeterViolate
-			pr.Drops += ni.PoliceDrops
+			pr.Drops += ni.PoliceDrops()
 		}
 		pr.FramesEmitted, pr.FramesDelivered = s.ledger.Counts()
 		pr.DeliveredFrameRatio = s.ledger.Ratio()

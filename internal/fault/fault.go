@@ -73,7 +73,10 @@ func (in *Injector) split() *rng.Source {
 	return in.src.Split(in.splits)
 }
 
+// note counts a fault transition in the port block of (r, port) and
+// reports it to the observers.
 func (in *Injector) note(kind string, r *core.Router, port int) {
+	r.PortCounters()[port].Faults++
 	if in.OnFault != nil {
 		in.OnFault(in.engine.Now(), kind, r.ID(), port)
 	}

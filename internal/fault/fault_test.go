@@ -122,7 +122,7 @@ func TestOutageReroutesAroundDeadLinks(t *testing.T) {
 			eng.Run(5 * sim.Millisecond)
 			eng.Drain()
 
-			if got := net.Sinks[tc.dst].MessagesReceived; got != count {
+			if got := net.Sinks[tc.dst].MessagesReceived(); got != count {
 				t.Errorf("delivered %d messages, want %d", got, count)
 			}
 			if rt.Abandoned != 0 {
@@ -165,7 +165,7 @@ func TestPermanentPartitionAbandons(t *testing.T) {
 	if rt.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", rt.Pending())
 	}
-	if got := net.Sinks[5].MessagesReceived; got != 0 {
+	if got := net.Sinks[5].MessagesReceived(); got != 0 {
 		t.Errorf("delivered %d messages across a full partition", got)
 	}
 	if err := net.Fabric.CheckDrained(); err != nil {
@@ -189,7 +189,7 @@ func TestCorruptionRecovered(t *testing.T) {
 	eng.Run(20 * sim.Millisecond)
 	eng.Drain()
 
-	if got := net.Sinks[5].MessagesReceived; got != count {
+	if got := net.Sinks[5].MessagesReceived(); got != count {
 		t.Errorf("delivered %d messages, want %d", got, count)
 	}
 	killed := uint64(0)
@@ -219,7 +219,7 @@ func TestStallFreezesPortWithoutLoss(t *testing.T) {
 	eng.Run(5 * sim.Millisecond)
 	eng.Drain()
 
-	if got := net.Sinks[5].MessagesReceived; got != 10 {
+	if got := net.Sinks[5].MessagesReceived(); got != 10 {
 		t.Errorf("delivered %d messages, want 10", got)
 	}
 	if net.Fabric.DroppedFlits() != 0 {
@@ -251,7 +251,7 @@ func churnRun(t *testing.T, seed uint64) [6]uint64 {
 	eng.Drain()
 	var delivered uint64
 	for _, s := range net.Sinks {
-		delivered += s.MessagesReceived
+		delivered += s.MessagesReceived()
 	}
 	return [6]uint64{
 		delivered,
@@ -305,7 +305,7 @@ func TestRemotePartitionKillsInsteadOfPanicking(t *testing.T) {
 	if rt.Abandoned != count {
 		t.Errorf("Abandoned = %d, want %d", rt.Abandoned, count)
 	}
-	if got := net.Sinks[15].MessagesReceived; got != 0 {
+	if got := net.Sinks[15].MessagesReceived(); got != 0 {
 		t.Errorf("delivered %d messages across a partition", got)
 	}
 	var killed uint64

@@ -92,9 +92,13 @@ type NI struct {
 	// O(1).
 	queued int //mw:snapcover — recomputed from the restored queues
 	// MeterExceed and MeterViolate count real-time messages colored yellow
-	// and red by the meter; PoliceDrops counts messages the dropper
-	// discarded at injection.
-	MeterExceed, MeterViolate, PoliceDrops uint64
+	// and red by the meter.
+	MeterExceed, MeterViolate uint64
+
+	// pc and vcc are the router's counter blocks for this NI's port: the NI
+	// counts its injections, policing drops and Virtual Clock stamps there.
+	pc  *obs.PortCounters //mw:snapcover — points into the router's blocks, which the router serializes
+	vcc []obs.VCCounters  //mw:snapcover — points into the router's blocks, which the router serializes
 
 	// retx, if set, tracks injected messages for end-to-end retransmission.
 	retx *Retransmitter //mw:snapcover — nil when checkpointing: fault runs refuse checkpoints
@@ -112,6 +116,8 @@ func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	}
 	ni := &carve(&f.epa.nis, 1)[0]
 	ni.fab, ni.router, ni.port, ni.Node = f, r, port, node
+	ni.pc = &r.PortCounters()[port]
+	ni.vcc = r.VCCounters()[port*cfg.VCs : (port+1)*cfg.VCs]
 	ni.vcs = carve(&f.epa.vcs, cfg.VCs)
 	ni.arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
 	ni.cands = carve(&f.epa.cands, cfg.VCs)[:0]
@@ -138,7 +144,7 @@ func (n *NI) Inject(vc int, msg *flit.Message) {
 			n.MeterViolate++
 		}
 		if drop {
-			n.PoliceDrops++
+			n.pc.PoliceDrops++
 			if n.trc != nil {
 				n.trc.Emit(obs.Event{At: msg.Injected, Kind: obs.EvPolice,
 					Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(vc),
@@ -155,6 +161,7 @@ func (n *NI) Inject(vc int, msg *flit.Message) {
 	n.queued += msg.Flits
 	n.vcs[vc].q.push(msg)
 	n.backlog |= 1 << uint(vc)
+	n.pc.Injected++
 	if n.trc != nil {
 		n.trc.Emit(obs.Event{At: msg.Injected, Kind: obs.EvInject,
 			Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(vc),
@@ -182,6 +189,10 @@ func (n *NI) SetPolicyParams(k sched.Kind, p sched.Params) {
 // SetPolicer installs the injection-point meter→dropper chain (nil disables
 // policing). Call before traffic starts.
 func (n *NI) SetPolicer(p *police.Policer) { n.pol = p }
+
+// PoliceDrops returns the real-time messages the dropper discarded at
+// injection, counted in the router's block for the NI's port.
+func (n *NI) PoliceDrops() uint64 { return n.pc.PoliceDrops }
 
 // observeArb attaches the tracer and wraps the injection multiplexer so
 // its decisions are traced. Called by Fabric.SetTracer.
@@ -279,6 +290,7 @@ func (n *NI) step(now sim.Time) {
 			// the injection instant, so the clock argument is Injected.
 			nv.pendingTS = nv.clk.Stamp(head.Injected, head.Vtick)
 			nv.havePending = true
+			n.vcc[v].VCTicks++
 			if n.trc != nil {
 				n.trc.Emit(obs.Event{At: now, Kind: obs.EvVCTick,
 					Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(v),

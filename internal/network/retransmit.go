@@ -130,6 +130,7 @@ func (rt *Retransmitter) expire(id uint64) {
 	}
 	st.timer = sim.Event{}
 	st.ni.fab.Kill(st.msg)
+	st.ni.pc.Killed++
 	trc := st.ni.trc
 	if trc != nil {
 		trc.Emit(obs.Event{At: rt.engine.Now(), Kind: obs.EvKill,
@@ -152,6 +153,7 @@ func (rt *Retransmitter) expire(id uint64) {
 		return
 	}
 	rt.Retransmissions++
+	st.ni.pc.Retransmits++
 	if trc != nil {
 		trc.Emit(obs.Event{At: rt.engine.Now(), Kind: obs.EvRetransmit,
 			Router: int16(st.ni.router.ID()), Port: int16(st.ni.port),

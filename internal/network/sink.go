@@ -14,8 +14,11 @@ type Sink struct {
 	fab *Fabric //mw:snapcover — static wiring, set at construction
 	// Node is the endpoint identifier.
 	Node int //mw:snapcover — endpoint identity, set at construction
-	// router/port locate the output port feeding this sink, for tracing.
-	router, port int //mw:snapcover — static trace coordinates, set at construction
+	// router/port locate the output port feeding this sink, for tracing;
+	// pc is the router's counter block for that port, where the sink counts
+	// its ejections.
+	router, port int               //mw:snapcover — static trace coordinates, set at construction
+	pc           *obs.PortCounters //mw:snapcover — points into the router's blocks, which the router serializes
 	// frames maps (stream, frame) to the number of messages still missing.
 	frames map[uint64]int
 
@@ -32,8 +35,6 @@ type Sink struct {
 
 	// FlitsReceived counts all flits consumed.
 	FlitsReceived uint64
-	// MessagesReceived counts completed messages.
-	MessagesReceived uint64
 }
 
 func frameKey(stream, frame int) uint64 {
@@ -50,7 +51,7 @@ func (s *Sink) Accept(vc int, f flit.Flit) {
 	if !f.IsTail() {
 		return
 	}
-	s.MessagesReceived++
+	s.pc.Ejected++
 	m := f.Msg
 	t := f.Enq // arrival instant at the endpoint
 	if s.fab.trc != nil {
@@ -62,6 +63,7 @@ func (s *Sink) Accept(vc int, f flit.Flit) {
 			Router: int16(s.router), Port: int16(s.port), VC: int16(vc),
 			Msg: m.ID, Class: m.Class, Seq: int32(m.FrameSeq),
 			Arg: int64(t - m.Injected)})
+		s.fab.trc.ObserveLatency(m.Class, t-m.Injected)
 	}
 	if s.retx != nil {
 		s.retx.ack(m)
@@ -92,6 +94,10 @@ func (s *Sink) Accept(vc int, f flit.Flit) {
 	}
 	s.frames[key] = rem
 }
+
+// MessagesReceived returns the completed messages, counted in the router's
+// block for the sink's port.
+func (s *Sink) MessagesReceived() uint64 { return s.pc.Ejected }
 
 // PendingFrames returns the number of partially delivered frames.
 func (s *Sink) PendingFrames() int { return len(s.frames) }

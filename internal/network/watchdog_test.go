@@ -168,7 +168,7 @@ func TestWatchdogRecoveryWithRetransmitDeliversAll(t *testing.T) {
 	}
 	var msgs uint64
 	for _, s := range sinks {
-		msgs += s.MessagesReceived
+		msgs += s.MessagesReceived()
 	}
 	if msgs != 4 {
 		t.Errorf("delivered %d messages, want all 4", msgs)

@@ -13,7 +13,8 @@ import (
 // code path: metadata lanes, instants, block spans, and a snapshot.
 func testCapture() *Capture {
 	trc := New(Options{Enabled: true, EventCap: 256})
-	trc.RegisterRouter(0, 2, 2)
+	vc, port := make([]VCCounters, 2*2), make([]PortCounters, 2)
+	trc.RegisterRouter(0, 2, 2, vc, port)
 	trc.Emit(Event{At: 10, Kind: EvInject, Router: 0, Port: 0, VC: 1, Msg: 1, Seq: 4, Arg: 3, Class: flit.VBR})
 	trc.Emit(Event{At: 20, Kind: EvVCTick, Router: 0, Port: 0, VC: 1, Msg: 1, Arg: 500})
 	trc.Emit(Event{At: 20, Kind: EvPickSource, Router: 0, Port: 0, VC: 1, Msg: 1, Arg: 500, Seq: 1})
@@ -27,6 +28,13 @@ func testCapture() *Capture {
 		Class: flit.VBR, Arg: 70})
 	trc.Emit(Event{At: 90, Kind: EvFault, Router: 0, Port: 1, VC: -1, Cause: CauseLinkDown, Arg: 1})
 	trc.Emit(Event{At: 95, Kind: EvDeadlock, Router: -1, Port: -1, VC: -1, Msg: 42, Arg: 3})
+	// The counts and the latency the events above stand for, as the router
+	// and its endpoints record them.
+	vc[0*2+1] = VCCounters{Switched: 1, Blocks: 1, VCTicks: 1}
+	vc[1*2+0] = VCCounters{Transmitted: 1, Grants: 1, GrantWait: 10}
+	port[0] = PortCounters{Injected: 1}
+	port[1] = PortCounters{Ejected: 1, Faults: 1}
+	trc.ObserveLatency(flit.VBR, 70)
 	trc.Snapshot(100)
 	return trc.Capture()
 }

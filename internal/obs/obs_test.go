@@ -16,7 +16,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		trc.Emit(ev)
 		trc.Tick(100)
-		trc.RegisterRouter(0, 8, 16)
+		trc.RegisterRouter(0, 8, 16, nil, nil)
+		trc.ObserveLatency(flit.VBR, 100)
 		if trc.Enabled() {
 			t.Fatal("nil tracer reports enabled")
 		}
@@ -33,7 +34,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 // the ring is preallocated and Event is a value type.
 func TestEnabledEmitZeroAlloc(t *testing.T) {
 	trc := New(Options{Enabled: true, EventCap: 1024})
-	trc.RegisterRouter(0, 8, 16)
+	trc.RegisterRouter(0, 8, 16, make([]VCCounters, 8*16), make([]PortCounters, 8))
 	ev := Event{At: 100, Kind: EvLinkTraverse, Router: 0, Port: 1, VC: 2, Msg: 7}
 	allocs := testing.AllocsPerRun(1000, func() {
 		trc.Emit(ev)
@@ -85,66 +86,67 @@ func TestCapturePartialRing(t *testing.T) {
 	}
 }
 
-func TestCounterFolding(t *testing.T) {
+// TestSnapshotCopiesBlocks: a snapshot holds copies of the registered
+// counter blocks, laid out in registration order, and counting after the
+// snapshot leaves it unchanged.
+func TestSnapshotCopiesBlocks(t *testing.T) {
 	trc := New(Options{Enabled: true, EventCap: 64})
-	trc.RegisterRouter(2, 4, 8)
+	vc2, port2 := make([]VCCounters, 4*8), make([]PortCounters, 4)
+	vc0, port0 := make([]VCCounters, 1*2), make([]PortCounters, 1)
+	trc.RegisterRouter(2, 4, 8, vc2, port2)
+	trc.RegisterRouter(0, 1, 2, vc0, port0)
 
-	// VC-level events on (router 2, port 1, vc 3).
-	trc.Emit(Event{Kind: EvSwitchArb, Router: 2, Port: 1, VC: 3})
-	trc.Emit(Event{Kind: EvLinkTraverse, Router: 2, Port: 1, VC: 3})
-	trc.Emit(Event{Kind: EvLinkTraverse, Router: 2, Port: 1, VC: 3})
-	trc.Emit(Event{Kind: EvVCAlloc, Router: 2, Port: 1, VC: 3, Arg: 40})
-	trc.Emit(Event{Kind: EvVCAlloc, Router: 2, Port: 1, VC: 3, Arg: 60})
-	trc.Emit(Event{Kind: EvBlock, Router: 2, Port: 1, VC: 3, Cause: CauseNotGranted})
-	trc.Emit(Event{Kind: EvUnblock, Router: 2, Port: 1, VC: 3, Cause: CauseNotGranted})
-	trc.Emit(Event{Kind: EvVCTick, Router: 2, Port: 1, VC: 3, Arg: 123})
-
-	// Port-level events on (router 2, port 0).
-	trc.Emit(Event{Kind: EvInject, Router: 2, Port: 0, VC: -1})
-	trc.Emit(Event{Kind: EvEject, Router: 2, Port: 0, VC: 1, Class: flit.VBR, Arg: 5000})
-	trc.Emit(Event{Kind: EvDrop, Router: 2, Port: 0, VC: -1})
-	trc.Emit(Event{Kind: EvKill, Router: 2, Port: 0, VC: -1, Cause: CauseCorrupt})
-	trc.Emit(Event{Kind: EvRetransmit, Router: 2, Port: 0, VC: 2, Seq: 2})
-	trc.Emit(Event{Kind: EvFault, Router: 2, Port: 0, VC: -1, Cause: CauseLinkDown, Arg: 1})
-
-	// Out-of-range / unregistered events must not panic or count.
-	trc.Emit(Event{Kind: EvSwitchArb, Router: 9, Port: 0, VC: 0})
-	trc.Emit(Event{Kind: EvSwitchArb, Router: 2, Port: 99, VC: 0})
-	trc.Emit(Event{Kind: EvEject, Router: -1, Port: -1, VC: -1, Class: flit.CBR, Arg: 100})
-
+	vc2[1*8+3] = VCCounters{Switched: 1, Transmitted: 2, Grants: 2, GrantWait: 100, Blocks: 1, VCTicks: 1}
+	port2[0] = PortCounters{Injected: 1, Ejected: 1, Dropped: 1, Killed: 1, Retransmits: 1, Faults: 1, PoliceDrops: 1}
+	vc0[1].Switched = 7
+	port0[0].Ejected = 9
+	trc.ObserveLatency(flit.VBR, 5000)
 	trc.Snapshot(1000)
+
+	vc2[1*8+3].Switched++
+	port2[0].Injected++
+	vc0[1].Switched++
+	trc.ObserveLatency(flit.VBR, 7000)
+	trc.Snapshot(2000)
+
 	c := trc.Capture()
-	if len(c.Snapshots) != 1 {
-		t.Fatalf("snapshots = %d, want 1", len(c.Snapshots))
+	if len(c.Snapshots) != 2 {
+		t.Fatalf("snapshots = %d, want 2", len(c.Snapshots))
 	}
 	s := c.Snapshots[0]
-
-	vc := s.PerVC[1*8+3] // router 2 is the only registered router; port 1, vc 3
-	if vc.Switched != 1 || vc.Transmitted != 2 || vc.Grants != 2 ||
-		vc.GrantWait != 100 || vc.Blocks != 1 || vc.VCTicks != 1 {
-		t.Fatalf("vc counters = %+v", vc)
+	if len(s.PerVC) != 4*8+2 || len(s.PerPort) != 4+1 {
+		t.Fatalf("snapshot holds %d VC and %d port blocks, want 34 and 5", len(s.PerVC), len(s.PerPort))
 	}
-	p := s.PerPort[0]
-	if p.Injected != 1 || p.Ejected != 1 || p.Dropped != 1 || p.Killed != 1 ||
-		p.Retransmits != 1 || p.Faults != 1 {
-		t.Fatalf("port counters = %+v", p)
+	if s.PerVC[1*8+3] != (VCCounters{Switched: 1, Transmitted: 2, Grants: 2, GrantWait: 100, Blocks: 1, VCTicks: 1}) {
+		t.Fatalf("router 2 vc block = %+v", s.PerVC[1*8+3])
 	}
-
-	// Latency histograms: one VBR observation at 5000 ns, plus one CBR
-	// observation from the fabric-level eject (class still applies).
+	if s.PerPort[0] != (PortCounters{Injected: 1, Ejected: 1, Dropped: 1, Killed: 1, Retransmits: 1, Faults: 1, PoliceDrops: 1}) {
+		t.Fatalf("router 2 port block = %+v", s.PerPort[0])
+	}
+	// Router 0 registered second, so its blocks follow router 2's.
+	if s.PerVC[4*8+1].Switched != 7 || s.PerPort[4].Ejected != 9 {
+		t.Fatalf("router 0 blocks = %+v / %+v", s.PerVC[4*8:], s.PerPort[4])
+	}
 	if s.Latency[flit.VBR].N != 1 || s.Latency[flit.VBR].Sum != 5000 {
 		t.Fatalf("VBR latency hist = %+v", s.Latency[flit.VBR])
 	}
-	if s.Latency[flit.CBR].N != 1 {
-		t.Fatalf("CBR latency hist = %+v", s.Latency[flit.CBR])
+	late := c.Snapshots[1]
+	if late.PerVC[1*8+3].Switched != 2 || late.PerPort[0].Injected != 2 ||
+		late.PerVC[4*8+1].Switched != 8 || late.Latency[flit.VBR].N != 2 {
+		t.Fatalf("second snapshot did not see the later counts: %+v %+v", late.PerVC[1*8+3], late.PerPort[0])
 	}
 }
 
 func TestRegisterRouterIdempotent(t *testing.T) {
 	trc := New(Options{Enabled: true, EventCap: 8})
-	trc.RegisterRouter(0, 4, 4)
-	trc.RegisterRouter(0, 4, 4)
-	trc.RegisterRouter(1, 2, 2)
+	blocks := func(ports, vcs int) ([]VCCounters, []PortCounters) {
+		return make([]VCCounters, ports*vcs), make([]PortCounters, ports)
+	}
+	vc, port := blocks(4, 4)
+	trc.RegisterRouter(0, 4, 4, vc, port)
+	trc.RegisterRouter(0, 4, 4, vc, port)
+	vc, port = blocks(2, 2)
+	trc.RegisterRouter(1, 2, 2, vc, port)
 	c := trc.Capture()
 	if len(c.Routers) != 2 {
 		t.Fatalf("routers = %v, want 2 entries", c.Routers)
