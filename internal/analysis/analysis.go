@@ -71,8 +71,7 @@ type Pass struct {
 	// source line carries a //mw:<name> annotation.
 	Report func(Diagnostic)
 
-	// exportFact/importFact are wired by the Driver; nil under the legacy
-	// single-package RunAnalyzers entry point, where facts are unavailable.
+	// exportFact/importFact carry facts through the Driver's fact store.
 	exportFact func(types.Object, Fact)
 	importFact func(types.Object, Fact) bool
 }
@@ -80,20 +79,14 @@ type Pass struct {
 // ExportObjectFact attaches fact to obj (a package-level declaration of the
 // package under analysis) for consumption when importing packages are
 // analyzed later. Facts cross the package boundary serialized; see Fact.
-// Outside a Driver run this is a no-op.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.exportFact != nil {
-		p.exportFact(obj, fact)
-	}
+	p.exportFact(obj, fact)
 }
 
 // ImportObjectFact decodes into fact the datum this same analyzer exported
 // for obj while analyzing the package that declares it, reporting whether
-// such a fact exists. Outside a Driver run it always reports false.
+// such a fact exists.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.importFact == nil {
-		return false
-	}
 	return p.importFact(obj, fact)
 }
 
@@ -110,8 +103,7 @@ type Diagnostic struct {
 
 	// Suppressed marks a finding on an //mw:<name>-annotated line. The
 	// Driver retains suppressed findings so front-ends can show them and so
-	// the stale-annotation audit can tell a live exception from a dead one;
-	// RunAnalyzers drops them for compatibility.
+	// the stale-annotation audit can tell a live exception from a dead one.
 	Suppressed bool
 }
 
@@ -194,31 +186,6 @@ func suppressedLines(fset *token.FileSet, file *ast.File, name string) map[int]b
 		lines[s.line+1] = true
 	}
 	return lines
-}
-
-// RunAnalyzers applies each analyzer to the package and returns the
-// surviving diagnostics sorted by position. Test files are excluded from
-// analysis, and diagnostics on annotated lines are dropped.
-//
-// This is the legacy single-package entry point: no facts cross package
-// boundaries and no stale-annotation audit runs. Use a Driver for both.
-func RunAnalyzers(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
-	files := analysisFiles(pkg)
-	var out []Diagnostic
-	for _, a := range analyzers {
-		raw, err := runAnalyzer(a, pkg, files, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, dg := range filterAndAudit(a, pkg, files, raw, false) {
-			if dg.Suppressed {
-				continue
-			}
-			out = append(out, dg)
-		}
-	}
-	sortDiagnostics(pkg.Fset, out)
-	return out, nil
 }
 
 // inModule reports whether path names a package of this module.

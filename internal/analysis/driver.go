@@ -15,9 +15,9 @@ import (
 // so Pass.ImportObjectFact can answer questions about imported declarations.
 //
 // Diagnostics are produced only for the packages the caller asks about;
-// dependency passes exist to populate the fact store. Unlike RunAnalyzers,
-// the driver keeps suppressed diagnostics (marked Diagnostic.Suppressed) so
-// front-ends can surface them, and it audits annotations: an //mw:<name>
+// dependency passes exist to populate the fact store. The driver keeps
+// suppressed diagnostics (marked Diagnostic.Suppressed) so front-ends can
+// surface them, and it audits annotations: an //mw:<name>
 // suppression that no longer suppresses anything is itself reported, so an
 // exception cannot outlive its justification.
 type Driver struct {
@@ -111,7 +111,7 @@ func (d *Driver) analyze(analyzers []*Analyzer, pkg *Package, requested bool) ([
 		if !requested {
 			continue
 		}
-		out = append(out, filterAndAudit(a, pkg, files, raw, true)...)
+		out = append(out, filterAndAudit(a, pkg, files, raw)...)
 	}
 	sortDiagnostics(pkg.Fset, out)
 	return out, nil
@@ -130,8 +130,8 @@ func analysisFiles(pkg *Package) []*ast.File {
 	return files
 }
 
-// runAnalyzer applies one analyzer to pkg and returns its raw diagnostics.
-// When store is non-nil the pass can export and import facts through it.
+// runAnalyzer applies one analyzer to pkg and returns its raw diagnostics;
+// the pass exports and imports facts through store.
 func runAnalyzer(a *Analyzer, pkg *Package, files []*ast.File, store *factStore) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	var factErr error
@@ -142,16 +142,14 @@ func runAnalyzer(a *Analyzer, pkg *Package, files []*ast.File, store *factStore)
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 		Report:    func(d Diagnostic) { raw = append(raw, d) },
-	}
-	if store != nil {
-		pass.exportFact = func(obj types.Object, f Fact) {
+		exportFact: func(obj types.Object, f Fact) {
 			if err := store.export(a.Name, obj, f); err != nil && factErr == nil {
 				factErr = err
 			}
-		}
-		pass.importFact = func(obj types.Object, f Fact) bool {
+		},
+		importFact: func(obj types.Object, f Fact) bool {
 			return store.load(a.Name, obj, f)
-		}
+		},
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -163,9 +161,9 @@ func runAnalyzer(a *Analyzer, pkg *Package, files []*ast.File, store *factStore)
 }
 
 // filterAndAudit attributes raw diagnostics to their analyzer, marks the
-// ones on annotated lines as suppressed, and — when audit is set — reports
-// every //mw:<name> annotation that suppresses nothing.
-func filterAndAudit(a *Analyzer, pkg *Package, files []*ast.File, raw []Diagnostic, audit bool) []Diagnostic {
+// ones on annotated lines as suppressed, and reports every //mw:<name>
+// annotation that suppresses nothing.
+func filterAndAudit(a *Analyzer, pkg *Package, files []*ast.File, raw []Diagnostic) []Diagnostic {
 	name := annotationName(a)
 	var out []Diagnostic
 	for _, f := range files {
@@ -186,9 +184,6 @@ func filterAndAudit(a *Analyzer, pkg *Package, files []*ast.File, raw []Diagnost
 			dg.Analyzer = a
 			dg.Suppressed = suppressed[pos.Line]
 			out = append(out, dg)
-		}
-		if !audit {
-			continue
 		}
 		for _, s := range sites {
 			if hit[s.line] || hit[s.line+1] {

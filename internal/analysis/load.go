@@ -13,8 +13,8 @@ import (
 	"strings"
 )
 
-// A Package is one loaded, type-checked package: the unit RunAnalyzers
-// consumes.
+// A Package is one loaded, type-checked package: the unit a Driver
+// analyzes.
 type Package struct {
 	Path      string // import path ("mediaworm/internal/core")
 	Dir       string // directory the files were read from
