@@ -46,6 +46,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.FrameBytes = -1 },
 		func(c *Config) { c.FrameInterval = 0 },
 		func(c *Config) { c.Measure = 0 },
+		func(c *Config) { c.Topology = "mesh300x300" }, // 90,000 routers: far above MaxArenaBytes
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()

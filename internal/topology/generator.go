@@ -405,6 +405,20 @@ func uniform(n, v int) []int {
 // Endpoints returns the endpoint count.
 func (l *Layout) Endpoints() int { return l.spec.Endpoints() }
 
+// arenaShape returns the router count Build sizes the shared arena for and
+// base at the largest router's port count: the larger Clos router shape,
+// smaller routers carving less.
+func (l *Layout) arenaShape(base core.Config) (int, core.Config) {
+	base.Ports = slices.Max(l.ports)
+	return len(l.ports), base
+}
+
+// ArenaBytes estimates the router state Build allocates for this layout
+// with routers configured by base (core.ArenaBytes).
+func (l *Layout) ArenaBytes(base core.Config) float64 {
+	return core.ArenaBytes(l.arenaShape(base))
+}
+
 // TransitLinks returns the switch-to-switch link inventory in wiring order.
 func (l *Layout) TransitLinks() []TransitLink { return l.transit }
 
@@ -751,9 +765,7 @@ func Build(engine *sim.Engine, spec Spec, base core.Config) (*Net, error) {
 		}
 	}
 	radix := slices.Max(l.ports)
-	arenaCfg := base
-	arenaCfg.Ports = radix // the larger Clos router shape; smaller ones carve less
-	base.Arena = core.NewArena(len(l.ports), arenaCfg)
+	base.Arena = core.NewArena(l.arenaShape(base))
 	base.VCSel = l.vcSel
 	base.Route = l.geo.route
 	var live *liveRoute
