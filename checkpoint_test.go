@@ -305,18 +305,20 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 	})
 	t.Run("version-mismatch", func(t *testing.T) {
 		// Patch the container version and re-seal the checksum, simulating a
-		// checkpoint from a future encoder.
-		bad := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint16(bad[8:], snapshot.Version+1)
-		sum := crc32.Checksum(bad[:len(bad)-4], crc32.MakeTable(crc32.Castagnoli))
-		binary.LittleEndian.PutUint32(bad[len(bad)-4:], sum)
-		_, err := RestoreSim(bytes.NewReader(bad))
-		var ve *snapshot.VersionError
-		if !errors.As(err, &ve) {
-			t.Fatalf("got %v, want VersionError", err)
-		}
-		if ve.Got != snapshot.Version+1 || ve.Want != snapshot.Version {
-			t.Fatalf("VersionError %+v", ve)
+		// checkpoint from the previous format and from a future encoder.
+		for _, v := range []uint16{snapshot.Version - 1, snapshot.Version + 1} {
+			bad := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint16(bad[8:], v)
+			sum := crc32.Checksum(bad[:len(bad)-4], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(bad[len(bad)-4:], sum)
+			_, err := RestoreSim(bytes.NewReader(bad))
+			var ve *snapshot.VersionError
+			if !errors.As(err, &ve) {
+				t.Fatalf("version %d: got %v, want VersionError", v, err)
+			}
+			if ve.Got != v || ve.Want != snapshot.Version {
+				t.Fatalf("VersionError %+v", ve)
+			}
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
