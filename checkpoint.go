@@ -272,7 +272,7 @@ func (s *Sim) Finish() (Result, error) {
 
 	var sunk uint64
 	for _, sk := range s.net.Sinks {
-		sunk += sk.FlitsReceived
+		sunk += sk.FlitsReceived()
 	}
 	inj, del := s.be.Counts()
 	res := Result{

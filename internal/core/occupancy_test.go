@@ -150,18 +150,72 @@ func restore(t *testing.T, cfg Config, data []byte) (*Router, error) {
 	return b, b.RestoreState(rd, rtbl)
 }
 
-// sameMasks reports the first occupancy or phase mask word where b differs
-// from a.
+// sameMasks reports the first occupancy, stage-full or phase mask word, or
+// port summary, where b differs from a.
 func sameMasks(a, b *Router) error {
 	for i := range a.inMask {
-		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] ||
+		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] || a.fullMask[i] != b.fullMask[i] ||
 			a.actMask[i] != b.actMask[i] || a.reqMask[i] != b.reqMask[i] {
-			return fmt.Errorf("mask word %d: in %#x out %#x act %#x req %#x, want %#x %#x %#x %#x",
-				i, b.inMask[i], b.outMask[i], b.actMask[i], b.reqMask[i],
-				a.inMask[i], a.outMask[i], a.actMask[i], a.reqMask[i])
+			return fmt.Errorf("mask word %d: in %#x out %#x full %#x act %#x req %#x, want %#x %#x %#x %#x %#x",
+				i, b.inMask[i], b.outMask[i], b.fullMask[i], b.actMask[i], b.reqMask[i],
+				a.inMask[i], a.outMask[i], a.fullMask[i], a.actMask[i], a.reqMask[i])
 		}
 	}
+	if a.inPorts != b.inPorts || a.outPorts != b.outPorts {
+		return fmt.Errorf("port summaries in %#x out %#x, want %#x %#x", b.inPorts, b.outPorts, a.inPorts, a.outPorts)
+	}
 	return nil
+}
+
+// TestWideRouterSummaries runs worms on ports 0, 63, 64 and 99 of a
+// 100-port, 100-VC router, each bound for the port mirrored across the
+// router, on VCs 0, 99, 64 and 63, so both words of every port summary and
+// of every port's VC masks carry bits. The run is audited each cycle, and
+// a checkpoint taken mid-run restores into a router whose masks and
+// summaries match and which then delivers the rest of every worm exactly
+// as the original does.
+func TestWideRouterSummaries(t *testing.T) {
+	cfg := testConfig(sched.VirtualClock)
+	cfg.Ports, cfg.VCs, cfg.BufferDepth = 100, 100, 12
+	a, caps := build(t, cfg)
+	ports, vcs := []int{0, 63, 64, 99}, []int{0, 99, 64, 63}
+	for i, p := range ports {
+		deliver(a, p, vcs[i], msg(uint64(i+1), ports[len(ports)-1-i], vcs[i], 12, 100), period)
+	}
+	if want := (portSet{1 | 1<<63, 1 | 1<<35}); a.inPorts != want {
+		t.Fatalf("input summary %#x, want %#x", a.inPorts, want)
+	}
+	now := run(a, period, 6)
+	if want := (portSet{1 | 1<<63, 1 | 1<<35}); a.outPorts != want {
+		t.Fatalf("output summary %#x mid-run, want %#x", a.outPorts, want)
+	}
+	sent := make([]int, cfg.Ports)
+	for p, c := range caps {
+		sent[p] = len(c.flits)
+	}
+	b := restored(t, a, cfg)
+	if err := sameMasks(a, b); err != nil {
+		t.Fatalf("after RestoreState: %v", err)
+	}
+	run(a, now, 30)
+	run(b, now, 30)
+	if !a.Quiesced() || !b.Quiesced() {
+		t.Fatalf("routers not drained: original %v, restored %v", a.Quiesced(), b.Quiesced())
+	}
+	for i, p := range ports {
+		dst := ports[len(ports)-1-i]
+		got, want := b.outs[dst].consumer.(*capture).flits, caps[dst].flits
+		if len(want) != 12 || len(got) != 12-sent[dst] {
+			t.Fatalf("port %d → %d: original sent %d flits, restored %d after %d, want 12 in all",
+				p, dst, len(want), len(got), sent[dst])
+		}
+		for k, f := range got {
+			if w := want[sent[dst]+k]; f.Msg.ID != w.Msg.ID || f.Seq != w.Seq || f.Enq != w.Enq {
+				t.Fatalf("port %d → %d: restored flit %d is msg %d seq %d at %v, want msg %d seq %d at %v",
+					p, dst, k, f.Msg.ID, f.Seq, f.Enq, w.Msg.ID, w.Seq, w.Enq)
+			}
+		}
+	}
 }
 
 // TestKillRaisesTheSharedFlag pins the kill flag's wiring: a router built

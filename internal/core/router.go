@@ -26,14 +26,15 @@
 // tables are flat slices indexed port·VCs+vc and flit rings carve one
 // shared buffer slab, so a fabric of hundreds of routers is a handful of
 // large allocations, not a pointer forest (DESIGN.md §18). Per-port
-// occupancy bitmasks record which VCs hold anything, so a cycle costs in
-// proportion to the occupied VCs, and a router with none returns from Step
-// at once. Phase masks narrow each stage to the VCs it can act on. A header
-// waiting for an output VC is recorded once, in its input VC: its phase
-// bit, target port and request sequence number give each port's FCFS
-// order. Waiting headers retry allocation only after something that could
-// change the answer, such as the release of one of their port's output
-// VCs.
+// occupancy bitmasks record which VCs hold anything, and port summaries,
+// one bit per port, record which ports do, so a cycle costs in proportion
+// to the occupied ports and VCs, and a router with none returns from Step
+// at once. Phase masks narrow each stage to the VCs it can act on. A
+// header waiting for an output VC is recorded once, in its input VC: its
+// phase bit, target port and request sequence number give each port's
+// FCFS order. Waiting headers retry allocation only after something that
+// could change the answer, such as the release of one of their port's
+// output VCs.
 package core
 
 import (
@@ -222,12 +223,6 @@ type outPort struct {
 	// another router; at an endpoint port the message's DstVC is used.
 	endpoint bool          //mw:snapcover — static wiring property, set when the port is connected
 	arb      sched.Arbiter // link VC multiplexer (point C)
-	// retry flags the port's waiting headers for the next stage-3 pass.
-	// allocOutVC reads only the port's busy VCs, the VC partition and the
-	// message, so a header it refused stays refused until a new header
-	// waits, an output VC is released or the partition moves; each of those
-	// raises the flag, and the pass clears it.
-	retry bool //mw:snapcover — derived; RestoreState flags every port
 }
 
 // Stats counts router activity for tests and instrumentation. Stats()
@@ -312,6 +307,21 @@ type Router struct {
 	// ascending VC order; markIn and markOut keep them in step.
 	inMask  []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
 	outMask []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
+	// fullMask, laid out like outMask, marks the output VCs whose staging
+	// buffer is full, so vcEligible reads a mask word instead of the ring;
+	// markOut keeps it in step.
+	fullMask []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
+	// inPorts and outPorts summarise inMask and outMask one bit per port: a
+	// port's bit is set while any of its input (output) VCs has its
+	// occupancy bit. Stages 2, 4 and 5 walk only the ports set here and
+	// idle reads four words; markIn and markOut keep them in step.
+	inPorts, outPorts portSet //mw:snapcover — derived from the VC tables; RestoreState rebuilds them
+	// retry flags the output ports whose waiting headers the next stage-3
+	// pass serves. allocOutVC reads only the port's busy VCs, the VC
+	// partition and the message, so a header it refused stays refused
+	// until a new header waits, an output VC is released or the partition
+	// moves; each of those flags the port, and the pass clears the flags.
+	retry portSet //mw:snapcover — derived; RestoreState flags every port
 	// actMask and reqMask, laid out like inMask, mark the input VCs whose
 	// phase is vcActive and vcRequested. Stage 2 visits the idle VCs
 	// holding a header, inMask &^ (actMask|reqMask), stage 3 reads each
@@ -326,22 +336,30 @@ type Router struct {
 	ownKilled bool                             //mw:snapcover — a standalone router's flag; see killed
 	cfg       Config                           //mw:snapcover — run-immutable config; RestoreSim rebuilds the router from the checkpoint's embedded config and re-validates against it
 	nvc       int                              //mw:snapcover — copy of cfg.VCs, the flat-index stride
+	vcw       int                              //mw:snapcover — derived from cfg: the mask words a port's VCs use, 1 up to 64 VCs, else 2
 	fullXb    bool                             //mw:snapcover — derived from cfg at construction
 	corrupt   func(port int, f flit.Flit) bool //mw:snapcover — fault-injection hook; fault runs refuse checkpoints
 	routeBuf  []int                            //mw:snapcover — per-cycle scratch for health-filtered routing candidates
 	routeCand []int                            //mw:snapcover — per-cycle scratch handed to the routing function
 	// The per-cycle scratch buffers below are sized in New, so the hot path
 	// does not allocate; the multiplexed crossbar's claim maps and the full
-	// crossbar's feeder tables are sized only for the kind in use.
+	// crossbar's feeder tables are sized only for the kind in use. The
+	// port sets are reset each cycle; the tables indexed by port are valid
+	// only where their set has the port, so they are never reset.
 	waitBuf    []int32           //mw:snapcover — scratch for waiting (flat input-VC indexes, at most Ports·VCs)
 	cands      []sched.Candidate //mw:snapcover — per-cycle scratch
-	claimed    []bool            //mw:snapcover — per-cycle scratch
-	claimedBy  []int8            //mw:snapcover — per-cycle scratch
-	picked     []int8            //mw:snapcover — per-cycle scratch
-	claimBlk   []uint64          //mw:snapcover — per-cycle scratch (input VCs the first allocator pass found blocked by a claimed output, laid out like inMask)
+	claimed    portSet           //mw:snapcover — per-cycle scratch (crossbar outputs claimed this cycle)
+	picked     portSet           //mw:snapcover — per-cycle scratch (input ports matched this cycle)
+	blocked    portSet           //mw:snapcover — per-cycle scratch (input ports with a VC in claimBlk)
+	claimedBy  []int8            //mw:snapcover — per-cycle scratch (the input port claiming each output in claimed)
+	pickedVC   []int8            //mw:snapcover — per-cycle scratch (the VC each input port in picked forwards)
+	claimBlk   []uint64          //mw:snapcover — per-cycle scratch (input VCs the first allocator pass found blocked by a claimed output, laid out like inMask, valid for the ports in blocked)
+	startAt    sim.Time          //mw:snapcover — cache: the last cycle rotation computed its start for
+	start      int               //mw:snapcover — cache: the allocator's first port at startAt, (startAt/Period) mod Ports
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, valid where fed has its bit)
 	feederCand []sched.Candidate //mw:snapcover — per-cycle scratch
-	fed        []uint64          //mw:snapcover — per-cycle scratch (output VCs with a feeder, laid out like outMask)
+	fed        []uint64          //mw:snapcover — per-cycle scratch (output VCs with a feeder, laid out like outMask; zero between cycles)
+	fedPorts   portSet           //mw:snapcover — per-cycle scratch (output ports with a bit in fed)
 	trc        *obs.Tracer       //mw:snapcover — observability sink (nil = disabled); tracing refuses checkpoints
 }
 
@@ -361,7 +379,7 @@ func New(cfg Config) (*Router, error) {
 		cfg.Arena = NewArena(1, cfg)
 	}
 	a := cfg.Arena
-	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, fullXb: cfg.FullCrossbar}
+	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, vcw: (cfg.VCs + 63) / 64, fullXb: cfg.FullCrossbar}
 	pv, _, masks, _ := arenaShape(cfg)
 	r.waitBuf = make([]int32, 0, pv)
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
@@ -370,16 +388,15 @@ func New(cfg Config) (*Router, error) {
 		r.feederCand = make([]sched.Candidate, pv)
 		r.fed = make([]uint64, 2*cfg.Ports)
 	} else {
-		r.claimed = make([]bool, cfg.Ports)
 		r.claimedBy = make([]int8, cfg.Ports)
-		r.picked = make([]int8, cfg.Ports)
+		r.pickedVC = make([]int8, cfg.Ports)
 		r.claimBlk = make([]uint64, 2*cfg.Ports)
 	}
 	r.inv = carve(&a.inv, pv)
 	r.outv = carve(&a.outv, pv)
 	occ, w := carve(&a.masks, masks), 2*cfg.Ports
-	r.inMask, r.outMask = occ[:w:w], occ[w:2*w:2*w]
-	r.actMask, r.reqMask = occ[2*w:3*w:3*w], occ[3*w:]
+	r.inMask, r.outMask, r.fullMask = occ[:w:w], occ[w:2*w:2*w], occ[2*w:3*w:3*w]
+	r.actMask, r.reqMask = occ[3*w:4*w:4*w], occ[4*w:]
 	r.killed = &r.ownKilled
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
@@ -505,9 +522,11 @@ func (r *Router) kill(p int, msg *flit.Message, cause obs.Cause) {
 	*r.killed = true
 }
 
-// markIn recomputes input VC in's occupancy and phase bits from its state.
+// markIn recomputes input VC in's occupancy and phase bits, and its port's
+// summary bit, from its state.
 func (r *Router) markIn(in *inVC) {
-	w, bit := 2*int(in.port)+int(in.vcIdx)>>6, uint64(1)<<(uint(in.vcIdx)&63)
+	p := int(in.port)
+	w, bit := 2*p+int(in.vcIdx)>>6, uint64(1)<<(uint(in.vcIdx)&63)
 	r.inMask[w] |= bit
 	r.actMask[w] &^= bit
 	r.reqMask[w] &^= bit
@@ -521,6 +540,7 @@ func (r *Router) markIn(in *inVC) {
 	case vcActive:
 		r.actMask[w] |= bit
 	}
+	r.inPorts.set(p, r.inMask[2*p]|r.inMask[2*p+1] != 0)
 }
 
 // releaseOut frees output VC (p, v) from the message holding it and flags
@@ -528,28 +548,30 @@ func (r *Router) markIn(in *inVC) {
 // granted the VC. It is the only place an output VC is released.
 func (r *Router) releaseOut(p, v int) {
 	r.outv[p*r.nvc+v].busy = nil
-	r.outs[p].retry = true
+	r.retry.add(p)
 }
 
-// markOut recomputes output VC (p, v)'s occupancy bit from its state.
+// markOut recomputes output VC (p, v)'s occupancy and stage-full bits, and
+// port p's summary bit, from its state.
 func (r *Router) markOut(p, v int) {
 	w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
-	if r.outv[p*r.nvc+v].stage.empty() {
-		r.outMask[w] &^= bit
-	} else {
+	st := &r.outv[p*r.nvc+v].stage
+	r.outMask[w] &^= bit
+	r.fullMask[w] &^= bit
+	if !st.empty() {
 		r.outMask[w] |= bit
 	}
+	if st.space() == 0 {
+		r.fullMask[w] |= bit
+	}
+	r.outPorts.set(p, r.outMask[2*p]|r.outMask[2*p+1] != 0)
 }
 
 // idle reports whether a Step would find nothing to do: no occupied input
-// or output VC. A waiting header's VC is occupied, so the masks cover it.
+// or output VC. A waiting header's VC is occupied, so the summaries cover
+// it.
 func (r *Router) idle() bool {
-	for i := range r.inMask {
-		if r.inMask[i]|r.outMask[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return r.inPorts[0]|r.inPorts[1]|r.outPorts[0]|r.outPorts[1] == 0
 }
 
 // SetPortStalled injects or lifts a transient stall on output port p: a
@@ -561,23 +583,28 @@ func (r *Router) SetPortStalled(p int, stalled bool) { r.stalled[p] = stalled }
 // waiting returns the headers waiting for an output VC of port p — the
 // requested input VCs whose outPort is p — as flat input-VC indexes in
 // FCFS order, which is reqSeq order. It scans every requested VC of the
-// router and insertion-sorts the port's few. The result is scratch that
-// the next call overwrites.
+// router, on the ports of inPorts, and insertion-sorts the port's few.
+// The result is scratch that the next call overwrites.
 func (r *Router) waiting(p int) []int32 {
 	r.waitBuf = r.waitBuf[:0]
-	for wi, w := range r.reqMask {
-		for ; w != 0; w &= w - 1 {
-			i := (wi>>1)*r.nvc + ((wi&1)<<6 | bits.TrailingZeros64(w))
-			in := &r.inv[i]
-			if in.outPort != p {
-				continue
+	for qi, qw := range r.inPorts {
+		for ; qw != 0; qw &= qw - 1 {
+			q := qi<<6 | bits.TrailingZeros64(qw)
+			for wi := 0; wi < r.vcw; wi++ {
+				for w := r.reqMask[2*q+wi]; w != 0; w &= w - 1 {
+					i := q*r.nvc + (wi<<6 | bits.TrailingZeros64(w))
+					in := &r.inv[i]
+					if in.outPort != p {
+						continue
+					}
+					r.waitBuf = append(r.waitBuf, int32(i))
+					j := len(r.waitBuf) - 1
+					for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
+						r.waitBuf[j] = r.waitBuf[j-1]
+					}
+					r.waitBuf[j] = int32(i)
+				}
 			}
-			r.waitBuf = append(r.waitBuf, int32(i))
-			j := len(r.waitBuf) - 1
-			for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
-				r.waitBuf[j] = r.waitBuf[j-1]
-			}
-			r.waitBuf[j] = int32(i)
 		}
 	}
 	return r.waitBuf
@@ -748,7 +775,9 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 		in.recvMsg = nil // tail delivered; VC free for the next message
 	}
 	in.q.push(f)
-	r.markIn(in)
+	if in.phase == vcIdle {
+		r.markIn(in) // a granted or waiting VC is occupied already
+	}
 }
 
 // Step advances the router one cycle ending at time now. The fabric calls
@@ -784,60 +813,69 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// a header can act. Once it has, every occupied VC is visited, so a
 	// reap stays interleaved with routing in VC order: it releases busy
 	// VCs and retires waiting headers that portLoad counts for later VCs.
-	for p := 0; p < len(r.outs); p++ {
-		for wi := 0; wi < 2; wi++ {
-			w := r.inMask[2*p+wi]
-			if !*r.killed {
-				w &^= r.actMask[2*p+wi] | r.reqMask[2*p+wi]
-			}
-			for ; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if *r.killed {
-					r.reapInVC(p, in)
+	// Only ports with an occupied input VC are walked; the stage clears
+	// summary bits but never sets one, so each word is read once. killed
+	// mirrors the kill flag, which only this stage's own kill can raise.
+	killed := *r.killed
+	for pi, pw := range r.inPorts {
+		for ; pw != 0; pw &= pw - 1 {
+			p := pi<<6 | bits.TrailingZeros64(pw)
+			for wi := 0; wi < r.vcw; wi++ {
+				w := r.inMask[2*p+wi]
+				if !killed {
+					w &^= r.actMask[2*p+wi] | r.reqMask[2*p+wi]
 				}
-				if in.phase != vcIdle || in.q.empty() {
-					continue
-				}
-				head := in.q.peek()
-				if head.Enq >= now { // stage-1 synchronization: not yet visible
-					continue
-				}
-				if !head.IsHeader() {
-					panic("core: non-header flit at head of idle VC")
-				}
-				msg := head.Msg
-				cands := r.liveRoute(msg)
-				if len(cands) == 0 {
-					// No live route (all candidate links down, or the
-					// routing function found the destination unreachable):
-					// kill the message so its buffered flits are reclaimed
-					// rather than blocking the VC forever. Retransmission
-					// retries it once a route recovers.
-					r.kill(p, msg, obs.CauseNoRoute)
-					r.reapInVC(p, in)
-					continue
-				}
-				out := cands[0]
-				if len(cands) > 1 {
-					// Fat links: pick the currently least-loaded candidate
-					// (§3.4), ties to the lower port index.
-					best, bestLoad := cands[0], r.portLoad(cands[0])
-					for _, c := range cands[1:] {
-						if l := r.portLoad(c); l < bestLoad {
-							best, bestLoad = c, l
-						}
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					in := &r.inv[p*r.nvc+v]
+					if killed {
+						r.reapInVC(p, in)
 					}
-					out = best
+					if in.phase != vcIdle || in.q.empty() {
+						continue
+					}
+					head := in.q.peek()
+					if head.Enq >= now { // stage-1 synchronization: not yet visible
+						continue
+					}
+					if !head.IsHeader() {
+						panic("core: non-header flit at head of idle VC")
+					}
+					msg := head.Msg
+					cands := r.liveRoute(msg)
+					if len(cands) == 0 {
+						// No live route (all candidate links down, or the
+						// routing function found the destination
+						// unreachable): kill the message so its buffered
+						// flits are reclaimed rather than blocking the VC
+						// forever. Retransmission retries it once a route
+						// recovers.
+						r.kill(p, msg, obs.CauseNoRoute)
+						killed = true
+						r.reapInVC(p, in)
+						continue
+					}
+					out := cands[0]
+					if len(cands) > 1 {
+						// Fat links: pick the currently least-loaded
+						// candidate (§3.4), ties to the lower port index.
+						best, bestLoad := cands[0], r.portLoad(cands[0])
+						for _, c := range cands[1:] {
+							if l := r.portLoad(c); l < bestLoad {
+								best, bestLoad = c, l
+							}
+						}
+						out = best
+					}
+					in.headMsg = msg
+					in.outPort = out
+					in.phase = vcRequested
+					in.reqSeq, in.reqAt = r.seq, now
+					r.markIn(in)
+					r.retry.add(out)
+					r.seq++
+					r.stats.RequestsQueued++
 				}
-				in.headMsg = msg
-				in.outPort = out
-				in.phase = vcRequested
-				in.reqSeq, in.reqAt = r.seq, now
-				r.markIn(in)
-				r.outs[out].retry = true
-				r.seq++
-				r.stats.RequestsQueued++
 			}
 		}
 	}
@@ -849,34 +887,35 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// allocation of one header overlap); the grant still takes effect at
 	// the crossbar one cycle later via grantedAt. Only a port flagged for
 	// retry is served: on any other, every waiting header is one that
-	// allocOutVC refused and would refuse again.
-	for p := 0; p < len(r.outs); p++ {
-		op := &r.outs[p]
-		if !op.retry {
-			continue
-		}
-		op.retry = false
-		for _, i := range r.waiting(p) {
-			in := &r.inv[i]
-			vc, ok := r.allocOutVC(p, op, in.headMsg)
-			if !ok {
-				continue
-			}
-			if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
-				r.outAt(p, vc).busy = in.headMsg
-			}
-			in.outVC = vc
-			in.phase = vcActive
-			in.grantedAt = now
-			r.markIn(in)
-			c := &r.vcc[p*r.nvc+vc]
-			c.Grants++
-			c.GrantWait += uint64(now - in.reqAt)
-			if r.trc != nil {
-				r.trc.Emit(obs.Event{At: now, Kind: obs.EvVCAlloc,
-					Router: int16(r.cfg.ID), Port: int16(p), VC: int16(vc),
-					Msg: in.headMsg.ID, Class: in.headMsg.Class,
-					Arg: int64(now - in.reqAt)})
+	// allocOutVC refused and would refuse again. A grant releases nothing,
+	// so the stage flags no port and clears every flag it serves.
+	for pi, pw := range r.retry {
+		r.retry[pi] = 0
+		for ; pw != 0; pw &= pw - 1 {
+			p := pi<<6 | bits.TrailingZeros64(pw)
+			op := &r.outs[p]
+			for _, i := range r.waiting(p) {
+				in := &r.inv[i]
+				vc, ok := r.allocOutVC(p, op, in.headMsg)
+				if !ok {
+					continue
+				}
+				if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
+					r.outAt(p, vc).busy = in.headMsg
+				}
+				in.outVC = vc
+				in.phase = vcActive
+				in.grantedAt = now
+				r.markIn(in)
+				c := &r.vcc[p*r.nvc+vc]
+				c.Grants++
+				c.GrantWait += uint64(now - in.reqAt)
+				if r.trc != nil {
+					r.trc.Emit(obs.Event{At: now, Kind: obs.EvVCAlloc,
+						Router: int16(r.cfg.ID), Port: int16(p), VC: int16(vc),
+						Msg: in.headMsg.ID, Class: in.headMsg.Class,
+						Arg: int64(now - in.reqAt)})
+				}
 			}
 		}
 	}
@@ -976,9 +1015,12 @@ func (r *Router) SetRTVCs(n int) {
 		panic("core: SetRTVCs out of range")
 	}
 	r.rtVCs = n
-	for p := range r.outs {
-		r.outs[p].retry = true
-	}
+	r.retry = r.allPorts()
+}
+
+// allPorts returns the set of every port of the router.
+func (r *Router) allPorts() portSet {
+	return portSet{^uint64(0), ^uint64(0)}.below(len(r.outs))
 }
 
 // portLoad estimates congestion on output port p for fat-link selection:
@@ -1009,134 +1051,148 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// A port offers at most one candidate per VC, so cands never outgrows
 	// the VCs capacity New gave it.
 	cands := r.cands
-	n := len(r.outs)
-	claimed := r.claimed
-	for i := range claimed {
-		claimed[i] = false
-		r.claimedBy[i] = -1
-		r.picked[i] = -1
-	}
+	r.claimed, r.picked, r.blocked = portSet{}, portSet{}, portSet{}
 	// First allocator iteration: each input port's multiplexer picks its
 	// scheduler-preferred eligible flit among outputs not yet claimed this
-	// cycle. The starting port rotates so no port is structurally favoured.
-	// Only granted VCs can be picked. Every other occupied VC holds a flit
+	// cycle. The starting port rotates so no port is structurally favoured;
+	// a port with no occupied input VC has nothing to offer, so the walk
+	// visits only inPorts, which the iteration does not change. Only
+	// granted VCs can be picked. Every other occupied VC holds a flit
 	// awaiting an output VC — an idle one by inMask's definition, a
 	// requested one because its header stays at the queue head until
 	// granted — so untraced, they are counted in BlockedNotGranted at once
 	// and only actMask is visited. Traced, every occupied VC is visited, so
-	// blocking spans open in VC order. claimBlk records the VCs blocked by
-	// a claimed output for the second iteration.
-	start := int(now/r.cfg.Period) % n
-	for k, p := 0, start; k < n; k, p = k+1, nextPort(p, n) {
-		cands = cands[:0]
-		for wi := 0; wi < 2; wi++ {
-			w := r.inMask[2*p+wi]
-			if r.trc == nil {
-				a := r.actMask[2*p+wi]
-				r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
-				w = a
-			}
-			r.claimBlk[2*p+wi] = 0
-			for ; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if claimed[in.outPort] && in.phase == vcActive {
-					r.stats.BlockedClaimed++
-					r.claimBlk[2*p+wi] |= w & -w
-					if !in.q.empty() {
-						r.traceBlock(in, now, obs.CauseClaimed)
-					}
-					continue
+	// blocking spans open in VC order. claimBlk and blocked record the VCs
+	// blocked by a claimed output for the second iteration.
+	start := r.rotationStart(now)
+	for bi, bw := range r.inPorts.rotate(start) {
+		for ; bw != 0; bw &= bw - 1 {
+			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
+			cands = cands[:0]
+			for wi := 0; wi < r.vcw; wi++ {
+				w := r.inMask[2*p+wi]
+				if r.trc == nil {
+					a := r.actMask[2*p+wi]
+					r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
+					w = a
 				}
-				if !r.vcEligible(in, now) {
-					if !in.q.empty() {
-						switch {
-						case in.phase != vcActive:
-							r.stats.BlockedNotGranted++
-							r.traceBlock(in, now, obs.CauseNotGranted)
-						case in.grantedAt >= now || in.q.peek().Enq >= now:
-							r.stats.BlockedJustMoved++
-							r.traceBlock(in, now, obs.CauseJustMoved)
-						default:
-							r.stats.BlockedStageFull++
-							r.traceBlock(in, now, obs.CauseStageFull)
+				r.claimBlk[2*p+wi] = 0
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					in := &r.inv[p*r.nvc+v]
+					if r.claimed.has(in.outPort) && in.phase == vcActive {
+						r.stats.BlockedClaimed++
+						r.claimBlk[2*p+wi] |= w & -w
+						r.blocked.add(p)
+						if !in.q.empty() {
+							r.traceBlock(in, now, obs.CauseClaimed)
 						}
+						continue
 					}
-					continue
-				}
-				head := in.q.peek()
-				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
-			}
-		}
-		if len(cands) == 0 {
-			continue
-		}
-		w := cands[r.inArbs[p].Pick(cands)].VC
-		out := r.inv[p*r.nvc+w].outPort
-		claimed[out] = true
-		r.claimedBy[out] = int8(p)
-		r.picked[p] = int8(w)
-	}
-	if r.cfg.AllocatorIterations < 2 {
-		for p := 0; p < n; p++ {
-			if w := r.picked[p]; w >= 0 {
-				r.forward(r.inAt(p, int(w)), now)
-			}
-		}
-		return
-	}
-	// Second allocator iteration (one-step augmentation): an unmatched
-	// input whose eligible flits all target claimed outputs may still be
-	// served when a claiming input has an eligible alternative to a free
-	// output — the claimer is re-pointed there and the contested output
-	// handed over. Pipelined routers achieve the same with iterative
-	// separable allocators; every input still forwards at most one flit
-	// and every output still receives at most one. An unmatched input had
-	// no eligible VC with an unclaimed output, nothing changes eligibility
-	// between the iterations and claims are never withdrawn, so its
-	// claim-blocked VCs are the only ones that can qualify, and eligibility
-	// is the only test left for them. An alternative must be granted, so
-	// the claimer's actMask is searched.
-	for k, p := 0, start; k < n; k, p = k+1, nextPort(p, n) {
-		if r.picked[p] >= 0 {
-			continue
-		}
-	vcLoop:
-		for wi, w := range r.claimBlk[2*p : 2*p+2] {
-			for ; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if !r.vcEligible(in, now) {
-					continue
-				}
-				j := r.claimedBy[in.outPort]
-				if j < 0 || r.picked[j] < 0 {
-					continue
-				}
-				for wj, wa := range r.actMask[2*int(j) : 2*int(j)+2] {
-					for ; wa != 0; wa &= wa - 1 {
-						jv := wj<<6 | bits.TrailingZeros64(wa)
-						alt := &r.inv[int(j)*r.nvc+jv]
-						if jv == int(r.picked[j]) || claimed[alt.outPort] || !r.vcEligible(alt, now) {
-							continue
+					if !r.vcEligible(in, now) {
+						if !in.q.empty() {
+							switch {
+							case in.phase != vcActive:
+								r.stats.BlockedNotGranted++
+								r.traceBlock(in, now, obs.CauseNotGranted)
+							case in.grantedAt >= now || in.q.peek().Enq >= now:
+								r.stats.BlockedJustMoved++
+								r.traceBlock(in, now, obs.CauseJustMoved)
+							default:
+								r.stats.BlockedStageFull++
+								r.traceBlock(in, now, obs.CauseStageFull)
+							}
 						}
-						// Re-point input j to the free output and hand the
-						// contested one to p.
-						claimed[alt.outPort] = true
-						r.claimedBy[alt.outPort] = j
-						r.picked[j] = int8(jv)
-						r.claimedBy[in.outPort] = int8(p)
-						r.picked[p] = int8(v)
-						break vcLoop
+						continue
 					}
+					head := in.q.peek()
+					cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 				}
 			}
+			if len(cands) == 0 {
+				continue
+			}
+			w := cands[r.inArbs[p].Pick(cands)].VC
+			out := r.inv[p*r.nvc+w].outPort
+			r.claimed.add(out)
+			r.claimedBy[out] = int8(p)
+			r.picked.add(p)
+			r.pickedVC[p] = int8(w)
 		}
+	}
+	if r.cfg.AllocatorIterations >= 2 {
+		r.augment(now, start)
 	}
 	// Forward the matched flits.
-	for p := 0; p < n; p++ {
-		if w := r.picked[p]; w >= 0 {
-			r.forward(r.inAt(p, int(w)), now)
+	for pi, pw := range r.picked {
+		for ; pw != 0; pw &= pw - 1 {
+			p := pi<<6 | bits.TrailingZeros64(pw)
+			r.forward(r.inAt(p, int(r.pickedVC[p])), now)
+		}
+	}
+}
+
+// rotationStart returns the allocator's starting port for the cycle at
+// now, (now/Period) mod Ports. Routers step cycle after cycle, so it
+// advances the cached start by one port when now is the cycle after the
+// one last computed, and divides only after a gap.
+func (r *Router) rotationStart(now sim.Time) int {
+	if now == r.startAt+r.cfg.Period {
+		r.start = nextPort(r.start, len(r.outs))
+	} else {
+		r.start = int(now/r.cfg.Period) % len(r.outs)
+	}
+	r.startAt = now
+	return r.start
+}
+
+// augment is the second allocator iteration (one-step augmentation), in
+// the first's rotation from port start: an unmatched input whose eligible
+// flits all target claimed outputs may still be served when a claiming
+// input has an eligible alternative to a free output — the claimer is
+// re-pointed there and the contested output handed over. Pipelined routers
+// achieve the same with iterative separable allocators; every input still
+// forwards at most one flit and every output still receives at most one.
+// An unmatched input had no eligible VC with an unclaimed output, nothing
+// changes eligibility between the iterations and claims are never
+// withdrawn, so its claim-blocked VCs are the only ones that can qualify,
+// and eligibility is the only test left for them. Only the unmatched
+// inputs in blocked can qualify, and matching one never unmatches
+// another, so they are known before the first is served. An alternative
+// must be granted, so the claimer's actMask is searched.
+func (r *Router) augment(now sim.Time, start int) {
+	for bi, bw := range r.blocked.andNot(r.picked).rotate(start) {
+		for ; bw != 0; bw &= bw - 1 {
+			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
+		vcLoop:
+			for wi, w := range r.claimBlk[2*p : 2*p+r.vcw] {
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					in := &r.inv[p*r.nvc+v]
+					if !r.vcEligible(in, now) {
+						continue
+					}
+					j := int(r.claimedBy[in.outPort]) // a claim-blocked VC's output is claimed
+					for wj, wa := range r.actMask[2*j : 2*j+r.vcw] {
+						for ; wa != 0; wa &= wa - 1 {
+							jv := wj<<6 | bits.TrailingZeros64(wa)
+							alt := &r.inv[j*r.nvc+jv]
+							if jv == int(r.pickedVC[j]) || r.claimed.has(alt.outPort) || !r.vcEligible(alt, now) {
+								continue
+							}
+							// Re-point input j to the free output and hand the
+							// contested one to p.
+							r.claimed.add(alt.outPort)
+							r.claimedBy[alt.outPort] = int8(j)
+							r.pickedVC[j] = int8(jv)
+							r.claimedBy[in.outPort] = int8(p)
+							r.picked.add(p)
+							r.pickedVC[p] = int8(v)
+							break vcLoop
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -1160,38 +1216,46 @@ func nextPort(p, n int) int {
 func (r *Router) fullTraversal(now sim.Time) {
 	m := r.nvc
 	// fed marks the output VCs that found a feeder this cycle, laid out
-	// like outMask; feeder entries without a bit are stale.
-	for i := range r.fed {
-		r.fed[i] = 0
-	}
-	for p := range r.outs {
-		for wi, w := range r.actMask[2*p : 2*p+2] { // vcEligible requires vcActive
-			for ; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				i := p*m + v
-				in := &r.inv[i]
-				if !r.vcEligible(in, now) {
-					continue
-				}
-				head := in.q.peek()
-				c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
-				key := in.outPort*m + in.outVC
-				fw, fb := 2*in.outPort+in.outVC>>6, uint64(1)<<(uint(in.outVC)&63)
-				if r.fed[fw]&fb == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
-					r.fed[fw] |= fb
-					r.feeder[key] = int32(i)
-					r.feederCand[key] = c
+	// like outMask, and fedPorts their ports; feeder entries without a bit
+	// are stale. The forwarding walk clears both for the next cycle.
+	for pi, pw := range r.inPorts {
+		for ; pw != 0; pw &= pw - 1 {
+			p := pi<<6 | bits.TrailingZeros64(pw)
+			for wi, w := range r.actMask[2*p : 2*p+r.vcw] { // vcEligible requires vcActive
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					i := p*m + v
+					in := &r.inv[i]
+					if !r.vcEligible(in, now) {
+						continue
+					}
+					head := in.q.peek()
+					c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
+					key := in.outPort*m + in.outVC
+					fw, fb := 2*in.outPort+in.outVC>>6, uint64(1)<<(uint(in.outVC)&63)
+					if r.fed[fw]&fb == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
+						r.fed[fw] |= fb
+						r.fedPorts.add(in.outPort)
+						r.feeder[key] = int32(i)
+						r.feederCand[key] = c
+					}
 				}
 			}
 		}
 	}
-	for p := range r.outs {
-		for wi, w := range r.fed[2*p : 2*p+2] {
-			for ; w != 0; w &= w - 1 {
-				r.forward(&r.inv[r.feeder[p*m+(wi<<6|bits.TrailingZeros64(w))]], now)
+	for pi, pw := range r.fedPorts {
+		for ; pw != 0; pw &= pw - 1 {
+			p := pi<<6 | bits.TrailingZeros64(pw)
+			for wi := 0; wi < 2; wi++ {
+				w := r.fed[2*p+wi]
+				r.fed[2*p+wi] = 0
+				for ; w != 0; w &= w - 1 {
+					r.forward(&r.inv[r.feeder[p*m+(wi<<6|bits.TrailingZeros64(w))]], now)
+				}
 			}
 		}
 	}
+	r.fedPorts = portSet{}
 }
 
 // vcEligible reports whether in's head flit may traverse the crossbar now.
@@ -1206,7 +1270,7 @@ func (r *Router) vcEligible(in *inVC, now sim.Time) bool {
 	if head.Enq >= now { // stage-1 synchronization
 		return false
 	}
-	return r.outAt(in.outPort, in.outVC).stage.space() > 0
+	return r.fullMask[2*in.outPort+in.outVC>>6]&(1<<(uint(in.outVC)&63)) == 0
 }
 
 // forward moves in's head flit through the crossbar into its output VC's
@@ -1245,72 +1309,88 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 			// the next holder cannot overtake the old tail.
 			r.releaseOut(in.outPort, in.outVC)
 		}
+		r.markIn(in) // only the tail changes the VC's phase, and so its bits
 	}
-	r.markIn(in)
 }
 
 // transmit implements stage 5: each output physical channel sends one flit
 // per cycle, chosen by the VC multiplexer among staged flits with downstream
-// credit.
+// credit. Until a message is killed only the ports staging flits can act,
+// and the stage clears summary bits but never sets one, so it walks the
+// ports of outPorts. Once the kill flag is up, every port is reaped and
+// then served in turn; a corrupted flit, the one kill the stage makes,
+// raises the flag for the ports after its own.
 func (r *Router) transmit(now sim.Time) {
-	cands := r.cands // at most one candidate per VC: never outgrows New's capacity
-	for p := 0; p < len(r.outs); p++ {
-		if *r.killed {
-			r.reapOutPort(p)
-		}
-		if r.outMask[2*p]|r.outMask[2*p+1] == 0 {
-			continue
-		}
-		if !r.linkUp[p] || r.stalled[p] {
-			// A dead or stalled link transmits nothing. Staged flits on a
-			// stalled link wait; on a dead link they belong to worms killed
-			// by SetLinkUp and are reaped above.
-			r.stallCycles[p]++
-			continue
-		}
-		op := &r.outs[p]
-		cands = cands[:0]
-		for wi, w := range r.outMask[2*p : 2*p+2] {
-			for ; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				head := r.outv[p*r.nvc+v].stage.peek()
-				if head.Enq >= now { // staged this cycle; send next
+	todo, reaping := r.outPorts, *r.killed
+	if reaping {
+		todo = r.allPorts()
+	}
+	for pi := range todo {
+		for todo[pi] != 0 {
+			p := pi<<6 | bits.TrailingZeros64(todo[pi])
+			todo[pi] &= todo[pi] - 1
+			if reaping {
+				r.reapOutPort(p)
+				if r.outMask[2*p]|r.outMask[2*p+1] == 0 {
 					continue
 				}
-				if !op.consumer.HasCredit(v) {
-					continue
-				}
-				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 			}
+			if !r.linkUp[p] || r.stalled[p] {
+				// A dead or stalled link transmits nothing. Staged flits on
+				// a stalled link wait; on a dead link they belong to worms
+				// killed by SetLinkUp and are reaped above.
+				r.stallCycles[p]++
+				continue
+			}
+			op := &r.outs[p]
+			cands := r.cands // at most one candidate per VC: never outgrows New's capacity
+			cands = cands[:0]
+			for wi, w := range r.outMask[2*p : 2*p+r.vcw] {
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 | bits.TrailingZeros64(w)
+					head := r.outv[p*r.nvc+v].stage.peek()
+					if head.Enq >= now { // staged this cycle; send next
+						continue
+					}
+					if !op.consumer.HasCredit(v) {
+						continue
+					}
+					cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
+				}
+			}
+			if len(cands) == 0 { // staged work, no downstream credit
+				r.stallCycles[p]++
+				continue
+			}
+			v := cands[op.arb.Pick(cands)].VC
+			ov := r.outAt(p, v)
+			f := ov.stage.pop()
+			r.markOut(p, v)
+			if r.corrupt != nil && r.corrupt(p, f) {
+				// The flit is corrupted on the wire: the whole message is
+				// lost (wormhole has no flit-level recovery) and unravels.
+				r.kill(p, f.Msg, obs.CauseCorrupt)
+				r.dropFlit(p)
+				if !reaping {
+					reaping = true
+					todo = r.allPorts().andNot(r.allPorts().below(p + 1))
+				}
+				continue
+			}
+			f.Enq = now + r.cfg.Period // arrival downstream after the wire
+			r.vcc[p*r.nvc+v].Transmitted++
+			if r.trc != nil {
+				// Emit before Accept: a sink consumer ejects the flit at its
+				// downstream arrival time (now+Period), and per-lane
+				// timestamps must stay non-decreasing in emission order.
+				r.trc.Emit(obs.Event{At: now, Kind: obs.EvLinkTraverse,
+					Router: int16(r.cfg.ID), Port: int16(p), VC: int16(v),
+					Msg: f.Msg.ID, Class: f.Msg.Class, Seq: int32(f.Seq),
+					Arg: obs.TSArg(f.TS)})
+			}
+			op.consumer.Accept(v, f)
+			r.stats.FlitsTransmitted++
 		}
-		if len(cands) == 0 { // staged work, no downstream credit
-			r.stallCycles[p]++
-			continue
-		}
-		v := cands[op.arb.Pick(cands)].VC
-		ov := r.outAt(p, v)
-		f := ov.stage.pop()
-		r.markOut(p, v)
-		if r.corrupt != nil && r.corrupt(p, f) {
-			// The flit is corrupted on the wire: the whole message is lost
-			// (wormhole has no flit-level recovery) and unravels.
-			r.kill(p, f.Msg, obs.CauseCorrupt)
-			r.dropFlit(p)
-			continue
-		}
-		f.Enq = now + r.cfg.Period // arrival downstream after the wire
-		r.vcc[p*r.nvc+v].Transmitted++
-		if r.trc != nil {
-			// Emit before Accept: a sink consumer ejects the flit at its
-			// downstream arrival time (now+Period), and per-lane timestamps
-			// must stay non-decreasing in emission order.
-			r.trc.Emit(obs.Event{At: now, Kind: obs.EvLinkTraverse,
-				Router: int16(r.cfg.ID), Port: int16(p), VC: int16(v),
-				Msg: f.Msg.ID, Class: f.Msg.Class, Seq: int32(f.Seq),
-				Arg: obs.TSArg(f.TS)})
-		}
-		op.consumer.Accept(v, f)
-		r.stats.FlitsTransmitted++
 	}
 }
 
@@ -1386,26 +1466,33 @@ func (r *Router) BlockedWorms() []Blocked {
 	return out
 }
 
-// CheckOccupancy recomputes the occupancy and phase masks and the idle
-// predicate from the VC tables and reports the first disagreement. It also
-// audits what the stages' shortcuts rely on: a requested VC's queue is
-// never empty, and every header waiting at a port whose retry flag is
-// clear is one that allocOutVC refuses. It walks every VC, so it is an
-// audit to run between cycles, not part of one.
+// CheckOccupancy recomputes the occupancy, stage-full and phase masks, the
+// port summaries and the idle predicate from the VC tables and reports the
+// first disagreement. It also audits what the stages' shortcuts rely on: a
+// requested VC's queue is never empty, and every header waiting at a port
+// whose retry flag is clear is one that allocOutVC refuses. It walks every
+// VC, so it is an audit to run between cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
+	var wantInPorts, wantOutPorts portSet
 	for p := range r.outs {
 		for v := 0; v < 128; v++ {
 			w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
-			var wantIn, wantOut, wantAct, wantReq bool
+			var wantIn, wantOut, wantFull, wantAct, wantReq bool
 			if v < r.nvc {
-				in := r.inAt(p, v)
+				in, ov := r.inAt(p, v), r.outAt(p, v)
 				wantIn = !in.q.empty() || in.phase != vcIdle
-				wantOut = !r.outAt(p, v).stage.empty()
+				wantOut, wantFull = !ov.stage.empty(), ov.stage.space() == 0
 				wantAct, wantReq = in.phase == vcActive, in.phase == vcRequested
 				if wantReq && in.q.empty() {
 					return fmt.Errorf("core: router %d input VC %d/%d is requested with an empty queue",
 						r.cfg.ID, p, v)
 				}
+			}
+			if wantIn {
+				wantInPorts.add(p)
+			}
+			if wantOut {
+				wantOutPorts.add(p)
 			}
 			for _, c := range [...]struct {
 				side, what string
@@ -1414,6 +1501,7 @@ func (r *Router) CheckOccupancy() error {
 			}{
 				{"input", "occupancy", r.inMask, wantIn},
 				{"output", "occupancy", r.outMask, wantOut},
+				{"output", "stage-full", r.fullMask, wantFull},
 				{"input", "active", r.actMask, wantAct},
 				{"input", "requested", r.reqMask, wantReq},
 			} {
@@ -1424,7 +1512,7 @@ func (r *Router) CheckOccupancy() error {
 			}
 		}
 		op := &r.outs[p]
-		if op.retry {
+		if r.retry.has(p) {
 			continue
 		}
 		for _, i := range r.waiting(p) {
@@ -1432,6 +1520,18 @@ func (r *Router) CheckOccupancy() error {
 				return fmt.Errorf("core: router %d output port %d could grant input VC %d/%d but is not flagged for retry",
 					r.cfg.ID, p, int(i)/r.nvc, int(i)%r.nvc)
 			}
+		}
+	}
+	for _, c := range [...]struct {
+		what      string
+		got, want portSet
+	}{
+		{"input summary", r.inPorts, wantInPorts},
+		{"output summary", r.outPorts, wantOutPorts},
+		{"retry", r.retry, r.retry.below(len(r.outs))},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("core: router %d %s ports %#x, VC state says %#x", r.cfg.ID, c.what, c.got, c.want)
 		}
 	}
 	idle := true

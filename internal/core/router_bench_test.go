@@ -98,6 +98,31 @@ func BenchmarkRouterStepSparse(b *testing.B) {
 	}
 }
 
+// wideConfig is the sparse benchmark's router widened to 64 ports.
+func wideConfig() Config {
+	cfg := sparseConfig()
+	cfg.Ports = 64
+	return cfg
+}
+
+// BenchmarkRouterStepWide measures Step on a 64-port, 16-VC router
+// carrying the same single worm stream as BenchmarkRouterStepSparse. The
+// stages walk only the ports the port summaries mark, so its ns/op should
+// stay close to the 8-port router's instead of growing with the port
+// count.
+func BenchmarkRouterStepWide(b *testing.B) {
+	r := benchRouter(b, wideConfig())
+	step := streamStepper(r)
+	for i := 0; i < 200; i++ { // warm-up: first messages
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // stuck is a downstream router input with no credit on any VC: worms sent
 // to it stall with their output VCs held.
 type stuck struct{}

@@ -15,13 +15,14 @@ import (
 // state, virtual clocks, fault flags, and counters: the stored Stats
 // fields, the stall cycles and the counter blocks. Scratch buffers
 // (candidate slices, claim maps) are per-cycle and never live across an
-// event, so they are not state; nor are the occupancy and phase masks,
-// which a restore derives from the VC tables, or the stage-3 retry flags,
-// which a restore raises on every port. The wire format is
-// layout-independent: the struct-of-arrays tables serialize in the same
-// (port, vc) nesting order as the original per-object layout. A port's
-// waiting headers are derived from the input-VC table, so their list
-// repeats what that table says and a restore checks the two agree.
+// event, so they are not state; nor are the occupancy, stage-full and
+// phase masks and the port summaries, which a restore derives from the VC
+// tables, or the stage-3 retry flags, which a restore raises on every
+// port. The wire format is layout-independent: the struct-of-arrays
+// tables serialize in the same (port, vc) nesting order as the original
+// per-object layout. A port's waiting headers are derived from the
+// input-VC table, so their list repeats what that table says and a
+// restore checks the two agree.
 
 // CollectMessages registers every message the router holds a reference to.
 func (r *Router) CollectMessages(tbl *flit.MsgTable) {
@@ -207,7 +208,6 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 		if err := sched.RestoreArbiter(rd, op.arb); err != nil {
 			return fmt.Errorf("router %d output port %d: %w", r.cfg.ID, p, err)
 		}
-		op.retry = true
 		ws := r.waiting(p)
 		nreqs := rd.Len()
 		if err := rd.Err(); err != nil {
@@ -252,6 +252,7 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 	for i := range r.outv {
 		r.markOut(i/r.nvc, i%r.nvc)
 	}
+	r.retry = r.allPorts()
 	return rd.Err()
 }
 

@@ -116,6 +116,12 @@ func TestRouterStepSparseZeroAlloc(t *testing.T) {
 	stepZeroAlloc(t, sparseConfig(), streamStepper)
 }
 
+// TestRouterStepWideZeroAlloc is BenchmarkRouterStepWide's allocation
+// proof: the summary walks on the 64-port router allocate nothing.
+func TestRouterStepWideZeroAlloc(t *testing.T) {
+	stepZeroAlloc(t, wideConfig(), streamStepper)
+}
+
 // TestRouterStepBlockedZeroAlloc is BenchmarkRouterStepBlocked's
 // allocation proof. It also checks that the benchmark measures what it
 // says: the twelve holders granted and stalled, six headers still waiting
@@ -128,8 +134,8 @@ func TestRouterStepBlockedZeroAlloc(t *testing.T) {
 	if got := r.Stats().MessagesRouted; got != uint64(r.rtVCs) {
 		t.Fatalf("%d headers granted, want %d holders", got, r.rtVCs)
 	}
-	if got := len(r.waiting(1)); got != 6 || r.outs[1].retry {
+	if got := len(r.waiting(1)); got != 6 || r.retry.has(1) {
 		t.Fatalf("%d headers waiting at port 1 (retry flag %v), want 6 with the flag clear",
-			got, r.outs[1].retry)
+			got, r.retry.has(1))
 	}
 }

@@ -13,7 +13,7 @@ import (
 // (the fabric work counter, which includes NI backlogs).
 func accounted(fab *network.Fabric, nis []*network.NI, sinks []*network.Sink) (delivered, dropped uint64, inFlight int64) {
 	for _, s := range sinks {
-		delivered += s.FlitsReceived
+		delivered += s.FlitsReceived()
 	}
 	for _, r := range fab.Routers {
 		dropped += r.Stats().FlitsDropped

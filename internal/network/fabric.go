@@ -113,6 +113,8 @@ func (f *Fabric) AttachEndpoint(r *core.Router, port, node int) (*NI, *Sink) {
 	sink := &carve(&f.epa.sinks, 1)[0]
 	sink.fab, sink.Node, sink.router, sink.port = f, node, r.ID(), port
 	sink.pc = &r.PortCounters()[port]
+	vcs := r.Config().VCs
+	sink.vcc = r.VCCounters()[port*vcs : (port+1)*vcs]
 	r.Connect(port, sink, true)
 	ni := newNI(f, r, port, node)
 	f.NIs = append(f.NIs, ni)

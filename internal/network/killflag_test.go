@@ -211,7 +211,7 @@ func TestKillAtOneRouterReapsAtAnother(t *testing.T) {
 	}
 	var delivered uint64
 	for _, s := range sinks {
-		delivered += s.FlitsReceived
+		delivered += s.FlitsReceived()
 	}
 	if delivered+fab.DroppedFlits() != uint64(victim.Flits) {
 		t.Fatalf("delivered %d + dropped %d != %d injected", delivered, fab.DroppedFlits(), victim.Flits)

@@ -194,7 +194,7 @@ func TestFatMeshDelivers(t *testing.T) {
 	}
 	sunk := uint64(0)
 	for _, s := range net.Sinks {
-		sunk += s.FlitsReceived
+		sunk += s.FlitsReceived()
 	}
 	if transit <= sunk {
 		t.Fatalf("switched %d ≤ sunk %d: no multi-hop traffic?", transit, sunk)
@@ -268,7 +268,7 @@ func TestWorkConservation(t *testing.T) {
 	}
 	totalSunk := uint64(0)
 	for _, s := range net.Sinks {
-		totalSunk += s.FlitsReceived
+		totalSunk += s.FlitsReceived()
 	}
 	if totalSunk == 0 {
 		t.Fatal("nothing delivered")

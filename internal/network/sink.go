@@ -16,9 +16,11 @@ type Sink struct {
 	Node int //mw:snapcover — endpoint identity, set at construction
 	// router/port locate the output port feeding this sink, for tracing;
 	// pc is the router's counter block for that port, where the sink counts
-	// its ejections.
+	// its ejections, and vcc the port's VC blocks, whose Transmitted counts
+	// are the flits the sink has consumed.
 	router, port int               //mw:snapcover — static trace coordinates, set at construction
 	pc           *obs.PortCounters //mw:snapcover — points into the router's blocks, which the router serializes
+	vcc          []obs.VCCounters  //mw:snapcover — points into the router's blocks, which the router serializes
 	// frames maps (stream, frame) to the number of messages still missing.
 	frames map[uint64]int
 
@@ -32,9 +34,6 @@ type Sink struct {
 	// OnMessage, if set, is called on every completed message (tail
 	// arrival), real-time and best-effort alike.
 	OnMessage func(m *flit.Message, t sim.Time) //mw:snapcover — observer callback, rewired by NewSim on restore
-
-	// FlitsReceived counts all flits consumed.
-	FlitsReceived uint64
 }
 
 func frameKey(stream, frame int) uint64 {
@@ -47,7 +46,6 @@ func (s *Sink) HasCredit(int) bool { return true }
 // Accept implements core.Consumer.
 func (s *Sink) Accept(vc int, f flit.Flit) {
 	s.fab.work--
-	s.FlitsReceived++
 	if !f.IsTail() {
 		return
 	}
@@ -98,6 +96,16 @@ func (s *Sink) Accept(vc int, f flit.Flit) {
 // MessagesReceived returns the completed messages, counted in the router's
 // block for the sink's port.
 func (s *Sink) MessagesReceived() uint64 { return s.pc.Ejected }
+
+// FlitsReceived returns the flits consumed: every flit the router
+// transmits on the sink's port, counted in the port's VC blocks.
+func (s *Sink) FlitsReceived() uint64 {
+	var n uint64
+	for i := range s.vcc {
+		n += s.vcc[i].Transmitted
+	}
+	return n
+}
 
 // PendingFrames returns the number of partially delivered frames.
 func (s *Sink) PendingFrames() int { return len(s.frames) }

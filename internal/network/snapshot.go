@@ -232,7 +232,6 @@ func (s *Sink) EncodeState(w *snapshot.Writer) error {
 		w.U64(k)
 		w.Int(s.frames[k])
 	}
-	w.U64(s.FlitsReceived)
 	return nil
 }
 
@@ -260,6 +259,5 @@ func (s *Sink) RestoreState(r *snapshot.Reader) error {
 		}
 		s.frames[k] = rem
 	}
-	s.FlitsReceived = r.U64()
 	return r.Err()
 }

@@ -135,7 +135,7 @@ func TestWatchdogRecoveryUnblocksRing(t *testing.T) {
 	}
 	var received, dropped uint64
 	for _, s := range sinks {
-		received += s.FlitsReceived
+		received += s.FlitsReceived()
 	}
 	dropped = fab.DroppedFlits()
 	if received+dropped != 4*64 {

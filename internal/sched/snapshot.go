@@ -29,10 +29,10 @@ func EncodeArbiter(w *snapshot.Writer, a Arbiter) error {
 		w.F64(ar.v)
 		w.U64(ar.active[0])
 		w.U64(ar.active[1])
-		w.Int(len(ar.s))
-		for i := range ar.s {
-			w.F64(ar.s[i])
-			w.F64(ar.f[i])
+		w.Int(len(ar.tags))
+		for i := range ar.tags {
+			w.F64(ar.tags[i].s)
+			w.F64(ar.tags[i].f)
 		}
 	case *tieredArbiter:
 		w.U8(uint8(SPWRR))
@@ -82,11 +82,10 @@ func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 		if err := checkStateLen(r, "wf2q-tags", n); err != nil {
 			return err
 		}
-		ar.s = resize(ar.s, n)
-		ar.f = resize(ar.f, n)
-		for i := range ar.s {
-			ar.s[i] = r.F64()
-			ar.f[i] = r.F64()
+		ar.sizeTags(n)
+		for i := range ar.tags {
+			ar.tags[i].s = r.F64()
+			ar.tags[i].f = r.F64()
 		}
 	case *tieredArbiter:
 		n := r.Int()

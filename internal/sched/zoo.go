@@ -94,35 +94,60 @@ func (a *rotationArbiter) Pick(cands []Candidate) int {
 type wf2qArbiter struct {
 	p      Params
 	v      float64   // system virtual time
-	s, f   []float64 // per-VC start/finish tags
+	tags   []wf2qTag // per-VC tag record
 	active [2]uint64 // presence bitmap of VCs backlogged at the last Pick
+}
+
+// wf2qTag is one VC's tag record: its start and finish tags, and its
+// weight and the weight's reciprocal, the tag spacing, fixed from Params.
+type wf2qTag struct {
+	s, f   float64
+	w, inv float64
 }
 
 func newWF2Q(p Params) *wf2qArbiter {
 	a := &wf2qArbiter{p: p}
-	if p.VCs > 0 {
-		a.s = make([]float64, p.VCs)
-		a.f = make([]float64, p.VCs)
-	}
+	a.sizeTags(min(p.VCs, maxVCID))
 	return a
 }
 
 func (*wf2qArbiter) Kind() Kind { return WF2Q }
 
-// ensure grows the tag arrays to cover VC id v, which must be < maxVCID
-// (the presence bitmap is two words).
-func (a *wf2qArbiter) ensure(v int) {
+// sizeTags rebuilds the tag records for n VCs: the tags of the VCs both
+// sizes cover are kept, the others start at zero, and every record gets
+// its weight and reciprocal from Params.
+func (a *wf2qArbiter) sizeTags(n int) {
+	tags := make([]wf2qTag, n) //mw:hotpath — lazy one-time sizing to the observed VC id space; never reallocated after
+	copy(tags, a.tags)
+	for v := range tags {
+		w := float64(a.p.weight(v))
+		tags[v].w, tags[v].inv = w, 1/w
+	}
+	a.tags = tags
+}
+
+// grow extends the tag records to cover VC id v, which must be < maxVCID
+// (the presence bitmap is two words). The records never cover more than
+// maxVCID VCs, so Pick calls it for every VC id they do not cover.
+func (a *wf2qArbiter) grow(v int) {
 	if v >= maxVCID {
 		panic("sched: wf2q VC id exceeds maxVCID")
 	}
-	if v < len(a.s) {
-		return
+	a.sizeTags(v + 1)
+}
+
+// arrive refreshes VC v's presence: a VC missing from the last Pick's
+// backlog restarts at the later of the virtual time and its previous
+// finish (the WF²Q+ re-arrival rule).
+func (a *wf2qArbiter) arrive(t *wf2qTag, v int) {
+	if a.active[v>>6]&(1<<(uint(v)&63)) == 0 {
+		s := a.v
+		if t.f > s {
+			s = t.f
+		}
+		t.s = s
+		t.f = s + t.inv
 	}
-	s := make([]float64, v+1) //mw:hotpath — lazy one-time sizing to the observed VC id space; never reallocated after
-	f := make([]float64, v+1) //mw:hotpath — lazy one-time sizing to the observed VC id space; never reallocated after
-	copy(s, a.s)
-	copy(f, a.f)
-	a.s, a.f = s, f
 }
 
 // Pick refreshes the backlogged set (stamping fresh arrivals at
@@ -130,52 +155,64 @@ func (a *wf2qArbiter) ensure(v int) {
 // always exists, grants the eligible minimum-finish-tag VC (ties to the
 // lower VC id), restamps the winner, and advances V by 1/ΣW.
 //
+// It makes one pass over the candidates, keeping two running winners: the
+// minimum finish tag among candidates with S ≤ V as it was, and the one
+// among candidates whose S equals the least S seen. If V ≥ min S the clamp
+// leaves V as it was and the first is the grant; otherwise V becomes min S,
+// which admits exactly the candidates at min S, and the second is.
+//
 //mw:hotpath
 func (a *wf2qArbiter) Pick(cands []Candidate) int {
+	if len(cands) == 1 {
+		v := cands[0].VC
+		if v >= len(a.tags) {
+			a.grow(v)
+		}
+		t := &a.tags[v]
+		a.arrive(t, v)
+		a.active = [2]uint64{}
+		a.active[v>>6] = 1 << (uint(v) & 63)
+		if a.v < t.s {
+			a.v = t.s
+		}
+		t.s = t.f
+		t.f += t.inv
+		a.v += 1 / t.w
+		return 0
+	}
 	var now [2]uint64
-	minS := math.Inf(1)
-	wsum := 0.0
-	for _, c := range cands {
+	minS, wsum := math.Inf(1), 0.0
+	// The running winners: index, finish tag and VC id.
+	elig, eligF, eligVC := -1, 0.0, 0
+	first, firstF, firstVC := -1, 0.0, 0
+	for i, c := range cands {
 		v := c.VC
-		a.ensure(v)
-		word, bit := v>>6, uint64(1)<<(uint(v)&63)
-		now[word] |= bit
-		if a.active[word]&bit == 0 {
-			// Newly backlogged: restart at the later of the virtual time and
-			// the VC's previous finish (the WF²Q+ re-arrival rule).
-			s := a.v
-			if a.f[v] > s {
-				s = a.f[v]
-			}
-			a.s[v] = s
-			a.f[v] = s + 1/float64(a.p.weight(v))
+		if v >= len(a.tags) {
+			a.grow(v)
 		}
-		if a.s[v] < minS {
-			minS = a.s[v]
+		t := &a.tags[v]
+		a.arrive(t, v)
+		now[v>>6] |= 1 << (uint(v) & 63)
+		wsum += t.w
+		s, f := t.s, t.f
+		if s <= a.v && (elig < 0 || f < eligF || (f == eligF && v < eligVC)) {
+			elig, eligF, eligVC = i, f, v
 		}
-		wsum += float64(a.p.weight(v))
+		if s < minS {
+			minS, first, firstF, firstVC = s, i, f, v
+		} else if s == minS && (f < firstF || (f == firstF && v < firstVC)) {
+			first, firstF, firstVC = i, f, v
+		}
 	}
 	a.active = now
+	best := elig
 	if a.v < minS {
 		a.v = minS
+		best = first
 	}
-	best := -1
-	for i, c := range cands {
-		if a.s[c.VC] > a.v {
-			continue // not eligible: would run ahead of the fluid schedule
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		fi, fb := a.f[c.VC], a.f[cands[best].VC]
-		if fi < fb || (fi == fb && c.VC < cands[best].VC) {
-			best = i
-		}
-	}
-	win := cands[best].VC
-	a.s[win] = a.f[win]
-	a.f[win] += 1 / float64(a.p.weight(win))
+	t := &a.tags[cands[best].VC]
+	t.s = t.f
+	t.f += t.inv
 	a.v += 1 / wsum
 	return best
 }

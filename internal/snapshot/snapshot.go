@@ -42,7 +42,9 @@ import (
 // request count; NI sections drop the policing-drop count and sink
 // sections the message count, which the blocks now hold; the fabric
 // section keeps one drop-reconciliation total, not one per router and NI.
-const Version uint16 = 4
+// v5: sink sections drop the flit count, which the endpoint port's VC
+// blocks already hold as their Transmitted counts.
+const Version uint16 = 5
 
 // magic identifies a MediaWorm snapshot. The trailing \x00\x01 keeps text
 // tools from mistaking the file for ASCII.
