@@ -3,6 +3,7 @@ package mediaworm_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"mediaworm"
@@ -131,26 +132,43 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRun measures the cost of one simulation point — the unit
-// every figure sweep is built from.
-func BenchmarkSingleRun(b *testing.B) {
+// TestSingleRunAllocCeiling holds one simulation point, the unit every
+// figure sweep is built from, to an allocation ceiling: the paper's switch
+// at the sweeps' reduced time base, 2 warm-up and 5 measured frame
+// intervals. A per-flit or per-event allocation would add hundreds of
+// thousands of allocations per run. The limits sit 25% above one run's
+// 59,216 allocations and 8,195,208 B on Go 1.24, plus 8 allocations and
+// 1 KiB of slack, so a Go release whose runtime allocates a little
+// differently still passes.
+func TestSingleRunAllocCeiling(t *testing.T) {
+	const maxAllocs, maxBytes = 74028, 10245034
 	cfg := mediaworm.DefaultConfig().Scale(0.05)
 	cfg.Warmup = 2 * cfg.FrameInterval
 	cfg.Measure = 5 * cfg.FrameInterval
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var bytes uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := mediaworm.Run(cfg); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		bytes = after.TotalAlloc - before.TotalAlloc
+	})
+	t.Logf("one run: %.0f allocations, %d B", allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("one run allocates %.0f objects, above the ceiling of %d", allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("one run allocates %d B, above the ceiling of %d", bytes, maxBytes)
 	}
 }
 
 // BenchmarkTraceOverhead compares one simulation point with tracing
 // disabled (the default; instrumentation reduces to nil-pointer checks)
-// against the same point with the full observability subsystem armed. The
-// disabled variant is the ISSUE's <5%-overhead contract surface; compare
-// against BenchmarkSingleRun and run with -benchmem to see the disabled
-// path add zero allocations.
+// against the same point with the full observability subsystem armed.
+// The disabled variant is the tracer's <5%-overhead contract surface;
+// run with -benchmem to see the disabled path add zero allocations.
 func BenchmarkTraceOverhead(b *testing.B) {
 	base := mediaworm.DefaultConfig().Scale(0.05)
 	base.RTShare = 0.8

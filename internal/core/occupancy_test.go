@@ -109,16 +109,6 @@ func TestOccupancyRebuiltOnRestore(t *testing.T) {
 // built from cfg.
 func restored(t *testing.T, a *Router, cfg Config) *Router {
 	t.Helper()
-	b, err := restore(t, cfg, checkpoint(t, a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// checkpoint returns a snapshot of a's messages and state.
-func checkpoint(t *testing.T, a *Router) []byte {
-	t.Helper()
 	tbl := flit.NewMsgTable()
 	a.CollectMessages(tbl)
 	w := snapshot.NewWriter()
@@ -132,13 +122,7 @@ func checkpoint(t *testing.T, a *Router) []byte {
 	if err := w.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// restore builds a router from cfg and restores the snapshot data into it.
-func restore(t *testing.T, cfg Config, data []byte) (*Router, error) {
-	t.Helper()
-	rd, err := snapshot.NewReader(bytes.NewReader(data))
+	rd, err := snapshot.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +131,10 @@ func restore(t *testing.T, cfg Config, data []byte) (*Router, error) {
 		t.Fatal(err)
 	}
 	b, _ := build(t, cfg)
-	return b, b.RestoreState(rd, rtbl)
+	if err := b.RestoreState(rd, rtbl); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // sameMasks reports the first occupancy, stage-full or phase mask word, or

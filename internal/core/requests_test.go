@@ -1,10 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
 	"slices"
 	"testing"
 
@@ -12,7 +8,6 @@ import (
 	"mediaworm/internal/obs"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
-	"mediaworm/internal/snapshot"
 )
 
 // reqConfig returns a router where every output VC must be held exclusively,
@@ -194,41 +189,6 @@ func TestSetLinkUpReroutesWaitingHeaders(t *testing.T) {
 	}
 	if !blocker.Dead || !waiter.Dead {
 		t.Fatal("messages straddling or routed to the dead link not killed")
-	}
-}
-
-// TestRestoreRejectsRequestListsThatDisagree pins the restore check on a
-// port's request list, which repeats what the input-VC table says: an
-// entry naming no header waiting there with that sequence number is
-// refused as corrupt.
-func TestRestoreRejectsRequestListsThatDisagree(t *testing.T) {
-	cfg := reqConfig()
-	r, _ := build(t, cfg)
-	for v := 0; v < 4; v++ {
-		deliver(r, 0, v, msg(uint64(v+1), 1, 0, 2, 100), period)
-	}
-	step(t, r, 3*period) // input VCs 1, 2 and 3 wait at port 1
-	data := checkpoint(t, r)
-	if _, err := restore(t, cfg, data); err != nil {
-		t.Fatalf("unaltered checkpoint refused: %v", err)
-	}
-	// Port 1's list: the count of three, then its first entry (in port, VC,
-	// request instant, seq).
-	var list []byte
-	for _, v := range []int64{3, 0, 1, int64(3 * period), 1} {
-		list = binary.LittleEndian.AppendUint64(list, uint64(v))
-	}
-	if n := bytes.Count(data, list); n != 1 {
-		t.Fatalf("port 1's request list found %d times in the checkpoint, want once", n)
-	}
-	bad := slices.Clone(data)
-	bad[bytes.Index(data, list)+4*8]++ // the first entry's sequence number
-	body := bad[:len(bad)-4]
-	binary.LittleEndian.PutUint32(bad[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	_, err := restore(t, cfg, bad)
-	var inv *snapshot.InvariantError
-	if !errors.As(err, &inv) || inv.Invariant != "request-queue" {
-		t.Errorf("checkpoint with the first entry's sequence number altered: error %v, want a request-queue invariant error", err)
 	}
 }
 

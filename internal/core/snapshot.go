@@ -11,18 +11,18 @@ import (
 // Checkpoint support. The router's structural shape (ports, VCs, buffer
 // capacities, crossbar kind, policy) is rebuilt from the run configuration;
 // a snapshot carries only the mutable state: buffered flits, per-VC worm
-// progress, each output port's waiting headers in FCFS order, arbiter
-// state, virtual clocks, fault flags, and counters: the stored Stats
-// fields, the stall cycles and the counter blocks. Scratch buffers
-// (candidate slices, claim maps) are per-cycle and never live across an
-// event, so they are not state; nor are the occupancy, stage-full and
-// phase masks and the port summaries, which a restore derives from the VC
-// tables, or the stage-3 retry flags, which a restore raises on every
-// port. The wire format is layout-independent: the struct-of-arrays
-// tables serialize in the same (port, vc) nesting order as the original
-// per-object layout. A port's waiting headers are derived from the
-// input-VC table, so their list repeats what that table says and a
-// restore checks the two agree.
+// progress, each waiting header's request, arbiter state, virtual clocks,
+// fault flags, and counters: the stored Stats fields, the stall cycles and
+// the counter blocks. Scratch buffers (candidate slices, claim maps) are
+// per-cycle and never live across an event, so they are not state; nor
+// are the occupancy, stage-full and phase masks and the port summaries,
+// which a restore derives from the VC tables, or the stage-3 retry flags,
+// which a restore raises on every port. The wire format is
+// layout-independent: the struct-of-arrays tables serialize in the same
+// (port, vc) nesting order as the original per-object layout. A waiting
+// header is recorded once, in its input VC: its phase, output port and
+// request sequence number give each port's FCFS order, and its request
+// instant follows them.
 
 // CollectMessages registers every message the router holds a reference to.
 func (r *Router) CollectMessages(tbl *flit.MsgTable) {
@@ -92,20 +92,14 @@ func (r *Router) EncodeState(w *snapshot.Writer, tbl *flit.MsgTable) error {
 			w.Int(in.outVC)
 			w.Time(in.grantedAt)
 			w.U64(in.reqSeq)
+			if in.phase == vcRequested {
+				w.Time(in.reqAt)
+			}
 		}
 	}
 	for p := 0; p < len(r.outs); p++ {
-		op := &r.outs[p]
-		if err := sched.EncodeArbiter(w, op.arb); err != nil {
+		if err := sched.EncodeArbiter(w, r.outs[p].arb); err != nil {
 			return err
-		}
-		ws := r.waiting(p)
-		w.Int(len(ws))
-		for _, i := range ws {
-			w.Int(int(i) / r.nvc)
-			w.Int(int(i) % r.nvc)
-			w.Time(r.inv[i].reqAt)
-			w.U64(r.inv[i].reqSeq)
 		}
 		for v := 0; v < r.nvc; v++ {
 			ov := r.outAt(p, v)
@@ -170,6 +164,9 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			in.outVC = rd.Int()
 			in.grantedAt = rd.Time()
 			in.reqSeq = rd.U64()
+			if vcPhase(phase) == vcRequested {
+				in.reqAt = rd.Time()
+			}
 			if err := rd.Err(); err != nil {
 				return err
 			}
@@ -197,45 +194,13 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			}
 		}
 	}
-	// The input-side masks are derived from the VC tables just restored;
-	// reqMask gives each port's waiting headers, which the request lists
-	// below must match entry for entry.
+	// The masks and summaries are derived from the VC tables.
 	for i := range r.inv {
 		r.markIn(&r.inv[i])
 	}
 	for p := 0; p < len(r.outs); p++ {
-		op := &r.outs[p]
-		if err := sched.RestoreArbiter(rd, op.arb); err != nil {
+		if err := sched.RestoreArbiter(rd, r.outs[p].arb); err != nil {
 			return fmt.Errorf("router %d output port %d: %w", r.cfg.ID, p, err)
-		}
-		ws := r.waiting(p)
-		nreqs := rd.Len()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		if nreqs != len(ws) {
-			return &snapshot.InvariantError{
-				Invariant: "request-queue",
-				Detail:    fmt.Sprintf("router %d out[%d]: %d requests for %d waiting headers", r.cfg.ID, p, nreqs, len(ws)),
-			}
-		}
-		for i, want := range ws {
-			inPort := rd.Int()
-			vc := rd.Int()
-			at := rd.Time()
-			seq := rd.U64()
-			if err := rd.Err(); err != nil {
-				return err
-			}
-			in := &r.inv[want]
-			if inPort != int(want)/r.nvc || vc != int(want)%r.nvc || seq != in.reqSeq {
-				return &snapshot.InvariantError{
-					Invariant: "request-queue",
-					Detail: fmt.Sprintf("router %d out[%d] request %d: in %d/%d seq %d, but the header waiting there is in %d/%d seq %d",
-						r.cfg.ID, p, i, inPort, vc, seq, int(want)/r.nvc, int(want)%r.nvc, in.reqSeq),
-				}
-			}
-			in.reqAt = at
 		}
 		for v := 0; v < r.nvc; v++ {
 			ov := r.outAt(p, v)

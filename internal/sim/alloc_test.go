@@ -21,18 +21,32 @@ func warmEngine(n int) *Engine {
 	return e
 }
 
+// TestAtZeroAllocSteadyState schedules a batch with At and drains it, for
+// two shapes of batch: events spread over a few instants, and
+// BenchmarkEngineFanOut's burst of same-instant events, the pattern of
+// frame-boundary fan-out.
 func TestAtZeroAllocSteadyState(t *testing.T) {
-	const batch = 64
-	e := warmEngine(batch)
 	fn := func() {}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < batch; i++ {
-			e.At(e.Now()+Time(i%7), fn)
-		}
-		e.Drain()
-	})
-	if allocs != 0 {
-		t.Fatalf("At+Run steady state allocates %v per run, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		batch int
+		at    func(i int) Time // the i-th event's offset from Now
+	}{
+		{"spread", 64, func(i int) Time { return Time(i % 7) }},
+		{"burst", 128, func(int) Time { return 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := warmEngine(tc.batch)
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < tc.batch; i++ {
+					e.At(e.Now()+tc.at(i), fn)
+				}
+				e.Drain()
+			})
+			if allocs != 0 {
+				t.Fatalf("At+Run steady state allocates %v per run, want 0", allocs)
+			}
+		})
 	}
 }
 

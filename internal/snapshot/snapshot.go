@@ -43,8 +43,10 @@ import (
 // sections the message count, which the blocks now hold; the fabric
 // section keeps one drop-reconciliation total, not one per router and NI.
 // v5: sink sections drop the flit count, which the endpoint port's VC
-// blocks already hold as their Transmitted counts.
-const Version uint16 = 5
+// blocks already hold as their Transmitted counts. v6: router sections
+// drop each output port's list of waiting headers; a waiting header's
+// request instant follows its sequence number in its input-VC record.
+const Version uint16 = 6
 
 // magic identifies a MediaWorm snapshot. The trailing \x00\x01 keeps text
 // tools from mistaking the file for ASCII.

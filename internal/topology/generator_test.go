@@ -2,11 +2,13 @@ package topology
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"mediaworm/internal/core"
 	"mediaworm/internal/flit"
+	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
 )
 
@@ -515,4 +517,42 @@ func ExampleParseSpec() {
 	s, _ := ParseSpec("torus8x8l2")
 	fmt.Println(s.Kind, s.Dims, s.Lanes, s.Routers(), s.AnalyticTransitLinks())
 	// Output: torus [8 8] 2 64 256
+}
+
+// TestBuildAllocationsIndependentOfVCs holds the fabric to its
+// struct-of-arrays layout: every router carves its per-VC state, flit
+// rings included, from the fabric's shared arena, so building a torus8x8
+// with 32 VCs per channel takes as many heap allocations as with 4. One
+// allocation per input VC would add 64 routers × 8 ports × 28 VCs, about
+// 14k. A collection first starts the collector's workers, whose start
+// would otherwise land in the first measurement; the slack absorbs any
+// other allocation of the runtime's own.
+func TestBuildAllocationsIndependentOfVCs(t *testing.T) {
+	const slack = 8
+	spec, err := ParseSpec("torus8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg core.Config) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if _, err := Build(sim.NewEngine(), spec, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	runtime.GC()
+	for _, policy := range []sched.Kind{sched.VirtualClock, sched.WF2Q, sched.DRR} {
+		for _, full := range []bool{false, true} {
+			cfg := base()
+			cfg.Policy, cfg.FullCrossbar = policy, full
+			narrow := build(cfg)
+			cfg.VCs, cfg.RTVCs = 32, 16
+			wide := build(cfg)
+			t.Logf("%v, full crossbar %v: %.0f allocations at 4 VCs, %.0f at 32", policy, full, narrow, wide)
+			if wide > narrow+slack || narrow > wide+slack {
+				t.Errorf("%v, full crossbar %v: Build allocates %.0f objects at 4 VCs but %.0f at 32",
+					policy, full, narrow, wide)
+			}
+		}
+	}
 }
