@@ -10,9 +10,10 @@ import (
 // Arena is a struct-of-arrays backing store for router hot state. A fabric
 // builder allocates one arena sized for all of its routers, and every router
 // carves its per-port/per-VC tables — input VCs, output VCs, flit buffer
-// rings, occupancy, stage-full and phase masks, link-health flags, stall
-// counters and the per-VC and per-port counter blocks — as contiguous
-// subslices of the shared slabs.
+// rings, occupancy, stage-full, phase, input-full, fresh-head and
+// claimed-output target masks, link-health flags, stall counters and the
+// per-VC and per-port counter blocks — as contiguous subslices of the
+// shared slabs.
 // The result is a handful of large allocations per fabric instead of
 // O(routers × ports × VCs) small ones, and same-kind state packed
 // contiguously across routers, which is what keeps a 256-router torus
@@ -39,7 +40,10 @@ type Arena struct {
 func arenaShape(cfg Config) (pv, flits, masks, health int) {
 	pv = cfg.Ports * cfg.VCs
 	flits = pv * (cfg.BufferDepth + cfg.StageDepth)
-	masks = 10 * cfg.Ports // input, output, stage-full, active and requested VCs, two words per port each
+	// Input, output, stage-full, active, requested, input-full and
+	// fresh-head VCs, two words per port each, and the claimed-output
+	// target masks, two words per (input port, output port) pair.
+	masks = 14*cfg.Ports + 2*cfg.Ports*cfg.Ports
 	health = 2 * cfg.Ports // linkUp + stalled
 	return
 }

@@ -137,15 +137,21 @@ func restored(t *testing.T, a *Router, cfg Config) *Router {
 	return b
 }
 
-// sameMasks reports the first occupancy, stage-full or phase mask word, or
-// port summary, where b differs from a.
+// sameMasks reports the first occupancy, stage-full, phase, input-full,
+// fresh-head or target mask word, or port summary, where b differs from a.
 func sameMasks(a, b *Router) error {
 	for i := range a.inMask {
 		if a.inMask[i] != b.inMask[i] || a.outMask[i] != b.outMask[i] || a.fullMask[i] != b.fullMask[i] ||
-			a.actMask[i] != b.actMask[i] || a.reqMask[i] != b.reqMask[i] {
-			return fmt.Errorf("mask word %d: in %#x out %#x full %#x act %#x req %#x, want %#x %#x %#x %#x %#x",
-				i, b.inMask[i], b.outMask[i], b.fullMask[i], b.actMask[i], b.reqMask[i],
-				a.inMask[i], a.outMask[i], a.fullMask[i], a.actMask[i], a.reqMask[i])
+			a.actMask[i] != b.actMask[i] || a.reqMask[i] != b.reqMask[i] ||
+			a.inFull[i] != b.inFull[i] || a.fresh[i] != b.fresh[i] {
+			return fmt.Errorf("mask word %d: in %#x out %#x full %#x act %#x req %#x in-full %#x fresh %#x, want %#x %#x %#x %#x %#x %#x %#x",
+				i, b.inMask[i], b.outMask[i], b.fullMask[i], b.actMask[i], b.reqMask[i], b.inFull[i], b.fresh[i],
+				a.inMask[i], a.outMask[i], a.fullMask[i], a.actMask[i], a.reqMask[i], a.inFull[i], a.fresh[i])
+		}
+	}
+	for i := range a.tgt {
+		if a.tgt[i] != b.tgt[i] {
+			return fmt.Errorf("target word %d: %#x, want %#x", i, b.tgt[i], a.tgt[i])
 		}
 	}
 	if a.inPorts != b.inPorts || a.outPorts != b.outPorts {
@@ -220,5 +226,63 @@ func TestKillRaisesTheSharedFlag(t *testing.T) {
 	s.kill(0, msg(2, 1, 0, 2, 100), obs.CauseTimeout)
 	if !shared || s.ownKilled {
 		t.Fatalf("kill raised shared=%v own=%v, want the shared flag only", shared, s.ownKilled)
+	}
+}
+
+// TestCreditAndFreshMasksThroughStall drives one worm into a stalled
+// output port until the worm backs up into a full input buffer, keeps the
+// port blocked by downstream credit once the stall lifts, then grants the
+// credit and drains the worm, auditing the masks after every cycle. The
+// stall keeps a flit forwarded into the port's empty staging buffer from
+// leaving, so a fresh-head bit that a stalled port fails to clear outlives
+// its Step. The input buffer fills while its VC is granted, when only
+// Deliver can set the full bit, and empties through forward's pops, when
+// only forward can clear it.
+func TestCreditAndFreshMasksThroughStall(t *testing.T) {
+	cfg := testConfig(sched.VirtualClock)
+	cfg.BufferDepth = 3
+	r, caps := build(t, cfg)
+	down := caps[1]
+	worm := msg(1, 1, 0, 12, 100)
+	sent := 0
+	now := period
+	cycle := func() {
+		t.Helper()
+		if sent < worm.Flits && r.HasCredit(0, 0) {
+			r.Deliver(0, 0, flit.Flit{Msg: worm, Seq: sent, Enq: now})
+			sent++
+		}
+		step(t, r, now)
+		now += period
+	}
+	r.SetPortStalled(1, true)
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if want := cfg.BufferDepth + cfg.StageDepth; sent != want || r.HasCredit(0, 0) {
+		t.Fatalf("stalled port took %d flits (credit %v), want %d and none left",
+			sent, r.HasCredit(0, 0), want)
+	}
+	down.full = [2]uint64{^uint64(0), ^uint64(0)}
+	r.SetPortStalled(1, false)
+	stalls := r.PortStats(1).StallCycles
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	if n := r.PortStats(1).StallCycles - stalls; len(down.flits) != 0 || n != 5 {
+		t.Fatalf("port without credit sent %d flits and stalled %d of 5 cycles, want 0 and 5",
+			len(down.flits), n)
+	}
+	down.full = [2]uint64{}
+	for i := 0; i < 40; i++ {
+		cycle()
+	}
+	if len(down.flits) != worm.Flits || !r.Quiesced() {
+		t.Fatalf("delivered %d of %d flits, quiesced %v", len(down.flits), worm.Flits, r.Quiesced())
+	}
+	for i, f := range down.flits {
+		if f.Seq != i {
+			t.Fatalf("flit %d delivered with sequence number %d", i, f.Seq)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func newSeqCapture(t *testing.T) *seqCapture {
 	return &seqCapture{nextSeq: map[*flit.Message]int{}, t: t}
 }
 
-func (c *seqCapture) HasCredit(int) bool { return true }
+func (c *seqCapture) Full() *[2]uint64 { return &noneFull }
 
 func (c *seqCapture) Accept(vc int, f flit.Flit) {
 	if f.Seq != c.nextSeq[f.Msg] {

@@ -29,12 +29,14 @@
 // occupancy bitmasks record which VCs hold anything, and port summaries,
 // one bit per port, record which ports do, so a cycle costs in proportion
 // to the occupied ports and VCs, and a router with none returns from Step
-// at once. Phase masks narrow each stage to the VCs it can act on. A
-// header waiting for an output VC is recorded once, in its input VC: its
-// phase bit, target port and request sequence number give each port's
-// FCFS order. Waiting headers retry allocation only after something that
-// could change the answer, such as the release of one of their port's
-// output VCs.
+// at once. Phase masks narrow each stage to the VCs it can act on, and the
+// input-full (credit), fresh-head and claimed-output target masks let each
+// multiplexer compute with word operations the VCs that can move this
+// cycle and visit only those. A header waiting for an output VC is
+// recorded once, in its input VC: its phase bit, target port and request
+// sequence number give each port's FCFS order. Waiting headers retry
+// allocation only after something that could change the answer, such as
+// the release of one of their port's output VCs.
 package core
 
 import (
@@ -62,10 +64,15 @@ const (
 // network layer implements it for endpoint sinks and for the input ports of
 // downstream routers.
 type Consumer interface {
-	// HasCredit reports whether the consumer can accept a flit on vc.
-	HasCredit(vc int) bool
+	// Full returns the consumer's full mask: bit v%64 of word v/64 is set
+	// while VC v cannot accept a flit, so a clear bit is a credit. Connect
+	// caches the pointer and stage 5 reads the words every cycle, so the
+	// pointer must stay valid, and the words current, for the consumer's
+	// life.
+	Full() *[2]uint64
 	// Accept delivers a flit on vc. f.Enq is the arrival instant (one cycle
-	// after transmission). Accept must not be called without credit.
+	// after transmission). Accept must not be called while vc's full bit is
+	// set.
 	Accept(vc int, f flit.Flit)
 }
 
@@ -223,6 +230,9 @@ type outPort struct {
 	// another router; at an endpoint port the message's DstVC is used.
 	endpoint bool          //mw:snapcover — static wiring property, set when the port is connected
 	arb      sched.Arbiter // link VC multiplexer (point C)
+	// full is the consumer's full mask (Consumer.Full), cached by Connect so
+	// stage 5 reads a credit word per port instead of calling per VC.
+	full *[2]uint64 //mw:snapcover — downstream wiring; the consumer keeps the words current
 }
 
 // Stats counts router activity for tests and instrumentation. Stats()
@@ -329,6 +339,23 @@ type Router struct {
 	// actMask; markIn keeps all three in step.
 	actMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
 	reqMask []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
+	// inFull, laid out like inMask, marks the input VCs whose ring has no
+	// space: the credit an upstream router or NI reads through InputFull.
+	// Deliver sets a bit when its push fills the ring, forward clears it
+	// after a pop, and markIn recomputes it.
+	inFull []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
+	// tgt holds the claimed-output target masks, two words per (input
+	// port, output port) pair at 2·(p·Ports+o): an input VC's bit is set
+	// while its phase is vcActive with outPort o. markIn keeps them in step,
+	// and stage 4's first pass ORs the words of the outputs claimed so far
+	// into the port's claim-blocked set.
+	tgt []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
+	// fresh, laid out like outMask, marks the output VCs whose head flit was
+	// staged this cycle and so cannot leave before the next: forward sets a
+	// bit when it pushes into an empty staging ring, reapOutPort when a reap
+	// exposes such a head, and stage 5 clears each port's bits as it visits
+	// the port, so none outlives a Step.
+	fresh []uint64 //mw:snapcover — per-cycle scratch, zero between cycles
 	// killed points at the kill flag, raised by the first message kill: the
 	// fabric's flag once AddRouter shares it, else ownKilled. Until it is
 	// raised no message is dead, so the reaping passes are skipped.
@@ -396,7 +423,8 @@ func New(cfg Config) (*Router, error) {
 	r.outv = carve(&a.outv, pv)
 	occ, w := carve(&a.masks, masks), 2*cfg.Ports
 	r.inMask, r.outMask, r.fullMask = occ[:w:w], occ[w:2*w:2*w], occ[2*w:3*w:3*w]
-	r.actMask, r.reqMask = occ[3*w:4*w:4*w], occ[4*w:]
+	r.actMask, r.reqMask = occ[3*w:4*w:4*w], occ[4*w:5*w:5*w]
+	r.inFull, r.fresh, r.tgt = occ[5*w:6*w:6*w], occ[6*w:7*w:7*w], occ[7*w:]
 	r.killed = &r.ownKilled
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
@@ -522,14 +550,22 @@ func (r *Router) kill(p int, msg *flit.Message, cause obs.Cause) {
 	*r.killed = true
 }
 
-// markIn recomputes input VC in's occupancy and phase bits, and its port's
-// summary bit, from its state.
+// markIn recomputes input VC in's occupancy, phase, full and target bits,
+// and its port's summary bit, from its state. A VC's outPort changes only
+// while it is idle, so clearing its bit in the word of its current outPort
+// clears the only target bit it can hold.
 func (r *Router) markIn(in *inVC) {
 	p := int(in.port)
 	w, bit := 2*p+int(in.vcIdx)>>6, uint64(1)<<(uint(in.vcIdx)&63)
+	t := 2*(p*len(r.outs)+in.outPort) + int(in.vcIdx)>>6
 	r.inMask[w] |= bit
 	r.actMask[w] &^= bit
 	r.reqMask[w] &^= bit
+	r.tgt[t] &^= bit
+	r.inFull[w] &^= bit
+	if in.q.space() == 0 {
+		r.inFull[w] |= bit
+	}
 	switch in.phase {
 	case vcIdle:
 		if in.q.empty() {
@@ -539,6 +575,7 @@ func (r *Router) markIn(in *inVC) {
 		r.reqMask[w] |= bit
 	case vcActive:
 		r.actMask[w] |= bit
+		r.tgt[t] |= bit
 	}
 	r.inPorts.set(p, r.inMask[2*p]|r.inMask[2*p+1] != 0)
 }
@@ -727,21 +764,30 @@ func (r *Router) traceUnblock(in *inVC, now sim.Time) {
 	in.blkCause = obs.CauseNone
 }
 
-// Connect attaches the consumer downstream of output port p and records
-// whether that port reaches an endpoint.
+// Connect attaches the consumer downstream of output port p, caching its
+// full mask, and records whether that port reaches an endpoint.
 func (r *Router) Connect(p int, c Consumer, endpoint bool) {
 	r.outs[p].consumer = c
+	r.outs[p].full = c.Full()
 	r.outs[p].endpoint = endpoint
 }
 
-// HasCredit reports whether input port p, VC vc can accept a flit.
+// InputFull returns input port p's full mask, the Consumer.Full of the
+// port: bit v%64 of word v/64 is set while VC v's buffer has no space. The
+// words live in the router's arena and stay current as flits arrive and
+// leave.
+func (r *Router) InputFull(p int) *[2]uint64 { return (*[2]uint64)(r.inFull[2*p : 2*p+2]) }
+
+// HasCredit reports whether input port p, VC vc can accept a flit: its
+// full bit is clear.
 func (r *Router) HasCredit(p, vc int) bool {
-	return r.inv[p*r.nvc+vc].q.space() > 0
+	return r.inFull[2*p+vc>>6]&(1<<(uint(vc)&63)) == 0
 }
 
 // Deliver enqueues a flit into input port p, VC vc (pipeline stage 1).
 // f.Enq must already hold the arrival instant; the flit is (re)stamped with
-// this contention point's Virtual Clock. Callers must respect HasCredit.
+// this contention point's Virtual Clock. Callers must not deliver on a VC
+// whose full bit (InputFull) is set.
 func (r *Router) Deliver(p, vc int, f flit.Flit) {
 	in := &r.inv[p*r.nvc+vc]
 	if f.Msg.Dead {
@@ -775,6 +821,9 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 		in.recvMsg = nil // tail delivered; VC free for the next message
 	}
 	in.q.push(f)
+	if in.q.space() == 0 {
+		r.inFull[2*p+vc>>6] |= 1 << (uint(vc) & 63)
+	}
 	if in.phase == vcIdle {
 		r.markIn(in) // a granted or waiting VC is occupied already
 	}
@@ -1060,30 +1109,45 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// granted VCs can be picked. Every other occupied VC holds a flit
 	// awaiting an output VC — an idle one by inMask's definition, a
 	// requested one because its header stays at the queue head until
-	// granted — so untraced, they are counted in BlockedNotGranted at once
-	// and only actMask is visited. Traced, every occupied VC is visited, so
-	// blocking spans open in VC order. claimBlk and blocked record the VCs
-	// blocked by a claimed output for the second iteration.
+	// granted — so untraced, they are counted in BlockedNotGranted at once.
+	// The granted VCs whose output is already claimed are the OR of the
+	// port's target words of the claimed outputs; they are counted in
+	// BlockedClaimed at once too, and untraced only the rest of actMask is
+	// visited. Traced, every occupied VC is visited, so blocking spans open
+	// in VC order. claimBlk and blocked record the VCs blocked by a claimed
+	// output for the second iteration.
 	start := r.rotationStart(now)
 	for bi, bw := range r.inPorts.rotate(start) {
 		for ; bw != 0; bw &= bw - 1 {
 			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
 			cands = cands[:0]
+			var blks [2]uint64 // granted VCs whose output is claimed
+			if r.claimed != (portSet{}) && r.actMask[2*p]|r.actMask[2*p+1] != 0 {
+				row := r.tgt[2*p*len(r.outs):]
+				for ci, cw := range r.claimed {
+					for ; cw != 0; cw &= cw - 1 {
+						o := ci<<6 | bits.TrailingZeros64(cw)
+						blks[0] |= row[2*o]
+						blks[1] |= row[2*o+1]
+					}
+				}
+			}
 			for wi := 0; wi < r.vcw; wi++ {
+				a, blk := r.actMask[2*p+wi], blks[wi]
+				r.claimBlk[2*p+wi] = blk
+				if blk != 0 {
+					r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
+					r.blocked.add(p)
+				}
 				w := r.inMask[2*p+wi]
 				if r.trc == nil {
-					a := r.actMask[2*p+wi]
 					r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
-					w = a
+					w = a &^ blk
 				}
-				r.claimBlk[2*p+wi] = 0
 				for ; w != 0; w &= w - 1 {
 					v := wi<<6 | bits.TrailingZeros64(w)
 					in := &r.inv[p*r.nvc+v]
-					if r.claimed.has(in.outPort) && in.phase == vcActive {
-						r.stats.BlockedClaimed++
-						r.claimBlk[2*p+wi] |= w & -w
-						r.blocked.add(p)
+					if blk&(w&-w) != 0 {
 						if !in.q.empty() {
 							r.traceBlock(in, now, obs.CauseClaimed)
 						}
@@ -1275,9 +1339,13 @@ func (r *Router) vcEligible(in *inVC, now sim.Time) bool {
 
 // forward moves in's head flit through the crossbar into its output VC's
 // staging buffer and releases message-granularity resources on the tail.
+// The pop frees a slot, so it clears the input VC's full bit; a push into
+// an empty staging buffer makes a head that cannot leave this cycle, so it
+// sets the output VC's fresh bit.
 func (r *Router) forward(in *inVC, now sim.Time) {
 	r.traceUnblock(in, now)
 	f := in.q.pop()
+	r.inFull[2*int(in.port)+int(in.vcIdx)>>6] &^= 1 << (uint(in.vcIdx) & 63)
 	ov := r.outAt(in.outPort, in.outVC)
 	r.vcc[int(in.port)*r.nvc+int(in.vcIdx)].Switched++
 	if r.trc != nil {
@@ -1297,6 +1365,9 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 	// a multiplexed crossbar the mux degenerates to FIFO as in §3.3).
 	f.TS = ov.clk.Stamp(now, f.Msg.Vtick)
 	f.Enq = now
+	if ov.stage.empty() {
+		r.fresh[2*in.outPort+in.outVC>>6] |= 1 << (uint(in.outVC) & 63)
+	}
 	ov.stage.push(f)
 	r.markOut(in.outPort, in.outVC)
 	r.stats.FlitsSwitched++
@@ -1319,7 +1390,10 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 // and the stage clears summary bits but never sets one, so it walks the
 // ports of outPorts. Once the kill flag is up, every port is reaped and
 // then served in turn; a corrupted flit, the one kill the stage makes,
-// raises the flag for the ports after its own.
+// raises the flag for the ports after its own. A port's candidates are its
+// staged VCs less the consumer's full VCs and the VCs whose head was staged
+// this cycle, three mask words; every port holding a fresh bit is staging
+// flits, so the walk reaches it and clears its bits before anything else.
 func (r *Router) transmit(now sim.Time) {
 	todo, reaping := r.outPorts, *r.killed
 	if reaping {
@@ -1330,10 +1404,13 @@ func (r *Router) transmit(now sim.Time) {
 			p := pi<<6 | bits.TrailingZeros64(todo[pi])
 			todo[pi] &= todo[pi] - 1
 			if reaping {
-				r.reapOutPort(p)
-				if r.outMask[2*p]|r.outMask[2*p+1] == 0 {
-					continue
-				}
+				r.reapOutPort(p, now)
+			}
+			fw := r.fresh[2*p : 2*p+2 : 2*p+2]
+			fresh := [2]uint64{fw[0], fw[1]}
+			fw[0], fw[1] = 0, 0
+			if reaping && r.outMask[2*p]|r.outMask[2*p+1] == 0 {
+				continue
 			}
 			if !r.linkUp[p] || r.stalled[p] {
 				// A dead or stalled link transmits nothing. Staged flits on
@@ -1346,15 +1423,9 @@ func (r *Router) transmit(now sim.Time) {
 			cands := r.cands // at most one candidate per VC: never outgrows New's capacity
 			cands = cands[:0]
 			for wi, w := range r.outMask[2*p : 2*p+r.vcw] {
-				for ; w != 0; w &= w - 1 {
+				for w &^= op.full[wi] | fresh[wi]; w != 0; w &= w - 1 {
 					v := wi<<6 | bits.TrailingZeros64(w)
 					head := r.outv[p*r.nvc+v].stage.peek()
-					if head.Enq >= now { // staged this cycle; send next
-						continue
-					}
-					if !op.consumer.HasCredit(v) {
-						continue
-					}
 					cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 				}
 			}
@@ -1398,13 +1469,19 @@ func (r *Router) transmit(now sim.Time) {
 // since a killed holder may stage nothing: staged flits of killed messages
 // are dropped (head-first; a dead worm's flits are flushed within a few
 // cycles even on shared endpoint VCs), and a killed holder releases the VC
-// before stage 2's fat-link choice reads it next cycle.
-func (r *Router) reapOutPort(p int) {
+// before stage 2's fat-link choice reads it next cycle. A reap can expose
+// a flit staged this cycle behind a dead head, whose push found the ring
+// non-empty and set no fresh bit, so the reap sets the bit; transmit reads
+// the port's fresh bits after it.
+func (r *Router) reapOutPort(p int, now sim.Time) {
 	for v := 0; v < r.nvc; v++ {
 		ov := &r.outv[p*r.nvc+v]
 		for !ov.stage.empty() && ov.stage.peek().Msg.Dead {
 			ov.stage.pop()
 			r.dropFlit(p)
+			if !ov.stage.empty() && ov.stage.peek().Enq >= now {
+				r.fresh[2*p+v>>6] |= 1 << (uint(v) & 63)
+			}
 		}
 		r.markOut(p, v)
 		if ov.busy != nil && ov.busy.Dead {
@@ -1466,26 +1543,34 @@ func (r *Router) BlockedWorms() []Blocked {
 	return out
 }
 
-// CheckOccupancy recomputes the occupancy, stage-full and phase masks, the
-// port summaries and the idle predicate from the VC tables and reports the
-// first disagreement. It also audits what the stages' shortcuts rely on: a
-// requested VC's queue is never empty, and every header waiting at a port
-// whose retry flag is clear is one that allocOutVC refuses. It walks every
-// VC, so it is an audit to run between cycles, not part of one.
+// CheckOccupancy recomputes the occupancy, stage-full, phase, input-full
+// and claimed-output target masks, the port summaries and the idle
+// predicate from the VC tables and reports the first disagreement.
+// It also audits what the stages' shortcuts rely on: a requested VC's
+// queue is never empty, no fresh-head bit survives a Step, and every
+// header waiting at a port whose retry flag is clear is one that
+// allocOutVC refuses. It walks every VC, so it is an audit to run between
+// cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
 	var wantInPorts, wantOutPorts portSet
+	wantTgt := make([]uint64, 2*len(r.outs))
 	for p := range r.outs {
+		clear(wantTgt)
 		for v := 0; v < 128; v++ {
 			w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
-			var wantIn, wantOut, wantFull, wantAct, wantReq bool
+			var wantIn, wantOut, wantFull, wantAct, wantReq, wantInFull bool
 			if v < r.nvc {
 				in, ov := r.inAt(p, v), r.outAt(p, v)
 				wantIn = !in.q.empty() || in.phase != vcIdle
 				wantOut, wantFull = !ov.stage.empty(), ov.stage.space() == 0
 				wantAct, wantReq = in.phase == vcActive, in.phase == vcRequested
+				wantInFull = in.q.space() == 0
 				if wantReq && in.q.empty() {
 					return fmt.Errorf("core: router %d input VC %d/%d is requested with an empty queue",
 						r.cfg.ID, p, v)
+				}
+				if wantAct {
+					wantTgt[2*in.outPort+v>>6] |= bit
 				}
 			}
 			if wantIn {
@@ -1504,10 +1589,20 @@ func (r *Router) CheckOccupancy() error {
 				{"output", "stage-full", r.fullMask, wantFull},
 				{"input", "active", r.actMask, wantAct},
 				{"input", "requested", r.reqMask, wantReq},
+				{"input", "full", r.inFull, wantInFull},
+				{"output", "fresh-head", r.fresh, false},
 			} {
 				if got := c.mask[w]&bit != 0; got != c.want {
 					return fmt.Errorf("core: router %d %s VC %d/%d %s bit %v, VC state says %v",
 						r.cfg.ID, c.side, p, v, c.what, got, c.want)
+				}
+			}
+		}
+		for o := range r.outs {
+			for wi := 0; wi < 2; wi++ {
+				if got, want := r.tgt[2*(p*len(r.outs)+o)+wi], wantTgt[2*o+wi]; got != want {
+					return fmt.Errorf("core: router %d input port %d target word %d for output %d is %#x, VC state says %#x",
+						r.cfg.ID, p, wi, o, got, want)
 				}
 			}
 		}

@@ -9,11 +9,14 @@ import (
 	"mediaworm/internal/sim"
 )
 
+// noneFull is the full mask of the test consumers with unlimited credit.
+var noneFull [2]uint64
+
 // devNull accepts every flit with unlimited credit and drops it, so router
 // benchmarks measure the pipeline, not a capture slice growing.
 type devNull struct{}
 
-func (devNull) HasCredit(int) bool    { return true }
+func (devNull) Full() *[2]uint64      { return &noneFull }
 func (devNull) Accept(int, flit.Flit) {}
 
 func benchRouter(b *testing.B, cfg Config) *Router {
@@ -127,7 +130,10 @@ func BenchmarkRouterStepWide(b *testing.B) {
 // to it stall with their output VCs held.
 type stuck struct{}
 
-func (stuck) HasCredit(int) bool    { return false }
+// allFull is stuck's full mask: no VC has credit.
+var allFull = [2]uint64{^uint64(0), ^uint64(0)}
+
+func (stuck) Full() *[2]uint64      { return &allFull }
 func (stuck) Accept(int, flit.Flit) { panic("core: flit accepted without credit") }
 
 // blockedStepper makes port 1 of r a transit port with no downstream

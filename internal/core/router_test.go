@@ -10,18 +10,14 @@ import (
 
 const period = 80 * sim.Nanosecond
 
-// capture records flits a consumer accepts, with unlimited credit.
+// capture records flits a consumer accepts. Its full mask starts clear,
+// unlimited credit, and a test sets bits to withhold credit.
 type capture struct {
 	flits []flit.Flit
-	limit func(vc int) bool // optional credit limiter
+	full  [2]uint64
 }
 
-func (c *capture) HasCredit(vc int) bool {
-	if c.limit != nil {
-		return c.limit(vc)
-	}
-	return true
-}
+func (c *capture) Full() *[2]uint64           { return &c.full }
 func (c *capture) Accept(vc int, f flit.Flit) { c.flits = append(c.flits, f) }
 
 // testConfig returns a 2-port, 2-VC router config routing on msg.Dst.
@@ -303,7 +299,7 @@ func TestTransitOutputVCSerializes(t *testing.T) {
 // captureSeq records flits in arrival order with unlimited credit.
 type captureSeq struct{ flits []flit.Flit }
 
-func (c *captureSeq) HasCredit(int) bool        { return true }
+func (c *captureSeq) Full() *[2]uint64          { return &noneFull }
 func (c *captureSeq) Accept(_ int, f flit.Flit) { c.flits = append(c.flits, f) }
 
 func TestFullCrossbarParallelTraversal(t *testing.T) {
@@ -435,7 +431,7 @@ type vcCapture struct {
 	byVC map[int]int
 }
 
-func (c *vcCapture) HasCredit(int) bool { return true }
+func (c *vcCapture) Full() *[2]uint64 { return &noneFull }
 func (c *vcCapture) Accept(vc int, f flit.Flit) {
 	if c.byVC == nil {
 		c.byVC = map[int]int{}
@@ -465,15 +461,15 @@ func TestClassPartitionOnTransitLink(t *testing.T) {
 func TestDownstreamCreditBlocksTransmit(t *testing.T) {
 	cfg := testConfig(sched.FIFO)
 	r, _ := build(t, cfg)
-	blocked := true
-	r.Connect(1, &capture{limit: func(int) bool { return !blocked }}, true)
+	down := &capture{full: [2]uint64{^uint64(0), ^uint64(0)}}
+	r.Connect(1, down, true)
 	m := msg(1, 1, 0, 3, 100)
 	deliver(r, 0, 0, m, period)
 	run(r, 0, 30)
 	if got := r.Stats().FlitsTransmitted; got != 0 {
 		t.Fatalf("transmitted %d flits without downstream credit", got)
 	}
-	blocked = false
+	down.full[0] &^= 1 // credit on VC 0, the message's DstVC, only
 	run(r, 30*period, 30)
 	if got := r.Stats().FlitsTransmitted; got != 3 {
 		t.Fatalf("transmitted %d after credit restored, want 3", got)

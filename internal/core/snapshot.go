@@ -15,8 +15,9 @@ import (
 // fault flags, and counters: the stored Stats fields, the stall cycles and
 // the counter blocks. Scratch buffers (candidate slices, claim maps) are
 // per-cycle and never live across an event, so they are not state; nor
-// are the occupancy, stage-full and phase masks and the port summaries,
-// which a restore derives from the VC tables, or the stage-3 retry flags,
+// are the occupancy, stage-full, phase, input-full and target masks and
+// the port summaries, which a restore derives from the VC tables, the
+// fresh-head mask, which is zero between cycles, or the stage-3 retry flags,
 // which a restore raises on every port. The wire format is
 // layout-independent: the struct-of-arrays tables serialize in the same
 // (port, vc) nesting order as the original per-object layout. A waiting
@@ -177,8 +178,9 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 				}
 			}
 			in.phase = vcPhase(phase)
-			if in.phase != vcIdle && (in.outPort < 0 || in.outPort >= r.cfg.Ports ||
-				in.outVC < 0 || in.outVC >= r.cfg.VCs) {
+			// Every VC's outPort indexes its target words, idle or not.
+			if in.outPort < 0 || in.outPort >= r.cfg.Ports ||
+				in.phase != vcIdle && (in.outVC < 0 || in.outVC >= r.cfg.VCs) {
 				return &snapshot.InvariantError{
 					Invariant: "crossbar-target",
 					Detail: fmt.Sprintf("router %d in[%d][%d]: out port %d vc %d",
@@ -194,7 +196,11 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			}
 		}
 	}
-	// The masks and summaries are derived from the VC tables.
+	// The masks and summaries are derived from the VC tables. markIn clears
+	// a VC's target bit only in its current outPort's word, so the target
+	// words start from zero, as do the fresh-head bits between cycles.
+	clear(r.tgt)
+	clear(r.fresh)
 	for i := range r.inv {
 		r.markIn(&r.inv[i])
 	}

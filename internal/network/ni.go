@@ -64,7 +64,10 @@ type NI struct {
 	// backlog has bit v set while VC v's injection queue is non-empty
 	// (VCs ≤ 64), so a step visits only backlogged VCs.
 	backlog uint64 //mw:snapcover — derived from the restored queues
-	arb     sched.Arbiter
+	// full is the router's input full mask for the NI's port: a step offers
+	// only the backlogged VCs whose bit is clear, the ones with credit.
+	full *[2]uint64 //mw:snapcover — points into the router's masks, which a restore rebuilds
+	arb  sched.Arbiter
 	// cands is the arbitration scratch buffer, reused every cycle so the
 	// hot path does not allocate.
 	cands []sched.Candidate //mw:snapcover — per-cycle scratch
@@ -116,6 +119,7 @@ func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	}
 	ni := &carve(&f.epa.nis, 1)[0]
 	ni.fab, ni.router, ni.port, ni.Node = f, r, port, node
+	ni.full = r.InputFull(port)
 	ni.pc = &r.PortCounters()[port]
 	ni.vcc = r.VCCounters()[port*cfg.VCs : (port+1)*cfg.VCs]
 	ni.vcs = carve(&f.epa.vcs, cfg.VCs)
@@ -263,24 +267,26 @@ func (n *NI) reap(v int) {
 }
 
 // step transmits at most one flit onto the injection link this cycle,
-// visiting only backlogged VCs. An NI with none returns at once: the step
-// that emptied it already closed any open blocking span.
+// visiting only backlogged VCs with router credit. An NI with no backlog
+// returns at once: the step that emptied it already closed any open
+// blocking span. Once the kill flag is up, every backlogged VC is reaped
+// first; the reaps are independent per VC, so the offers are the same as
+// reaping each VC just before it is offered.
 //
 //mw:hotpath
 func (n *NI) step(now sim.Time) {
 	if n.backlog == 0 {
 		return
 	}
+	if n.fab.killed {
+		for w := n.backlog; w != 0; w &= w - 1 {
+			n.reap(bits.TrailingZeros64(w))
+		}
+	}
 	n.cands = n.cands[:0]
-	for w := n.backlog; w != 0; w &= w - 1 {
+	for w := n.backlog &^ n.full[0]; w != 0; w &= w - 1 {
 		v := bits.TrailingZeros64(w)
-		if n.fab.killed {
-			n.reap(v)
-		}
 		nv := &n.vcs[v]
-		if nv.q.empty() || !n.router.HasCredit(n.port, v) {
-			continue
-		}
 		head := nv.q.peek()
 		if !nv.havePending {
 			if nv.sent == 0 {

@@ -40,8 +40,13 @@ func frameKey(stream, frame int) uint64 {
 	return uint64(uint32(stream))<<32 | uint64(uint32(frame))
 }
 
-// HasCredit implements core.Consumer: the endpoint always accepts.
-func (s *Sink) HasCredit(int) bool { return true }
+// noneFull is the full mask of every sink: an endpoint always accepts.
+// Nothing writes it.
+var noneFull [2]uint64
+
+// Full implements core.Consumer: the endpoint always accepts, so every
+// sink shares one all-zero mask.
+func (s *Sink) Full() *[2]uint64 { return &noneFull }
 
 // Accept implements core.Consumer.
 func (s *Sink) Accept(vc int, f flit.Flit) {
@@ -114,8 +119,12 @@ func (s *Sink) PendingFrames() int { return len(s.frames) }
 // credit, and receiving a flit anyway panics, so wiring bugs fail loudly.
 type DeadEnd struct{}
 
-// HasCredit implements core.Consumer.
-func (DeadEnd) HasCredit(int) bool { return false }
+// allFull is the full mask of every dead end: no VC ever has credit.
+// Nothing writes it.
+var allFull = [2]uint64{^uint64(0), ^uint64(0)}
+
+// Full implements core.Consumer: every VC is full.
+func (DeadEnd) Full() *[2]uint64 { return &allFull }
 
 // Accept implements core.Consumer.
 func (DeadEnd) Accept(int, flit.Flit) { panic("network: flit on an unused port") }

@@ -177,7 +177,7 @@ func (a *wf2qArbiter) Pick(cands []Candidate) int {
 		}
 		t.s = t.f
 		t.f += t.inv
-		a.v += 1 / t.w
+		a.v += t.inv // 1/ΣW over the one candidate, the reciprocal sizeTags computed
 		return 0
 	}
 	var now [2]uint64
