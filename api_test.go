@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mediaworm/internal/network"
 	"mediaworm/internal/sched"
 )
 
@@ -60,18 +59,25 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestNewSimRefusesMoreVCsThanAnNISupports pins the NI's VC limit as an
-// error from the fabric build, not a panic: the limit itself builds, one
-// more VC is refused.
-func TestNewSimRefusesMoreVCsThanAnNISupports(t *testing.T) {
+// TestNewSimRefusesMoreVCsThanARouterSupports pins the router's VC limit
+// as an error from the fabric build, not a panic: the limit itself builds,
+// one more VC is refused. The limit is the wormhole router's, not the
+// Config's: the PCS switch keeps its own VC range, so RunPCS still runs,
+// and establishes connections, at one more VC than the limit.
+func TestNewSimRefusesMoreVCsThanARouterSupports(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VCs = network.MaxNIVCs
+	cfg.VCs = sched.MaxVCs
 	if _, err := NewSim(cfg); err != nil {
 		t.Fatalf("NewSim with %d VCs: %v", cfg.VCs, err)
 	}
 	cfg.VCs++
 	if _, err := NewSim(cfg); err == nil {
 		t.Fatalf("NewSim accepted %d VCs", cfg.VCs)
+	}
+	pcs := pcsBasicsCfg()
+	pcs.VCs = sched.MaxVCs + 1
+	if res, err := RunPCS(pcs); err != nil || res.Established == 0 {
+		t.Fatalf("RunPCS with %d VCs: %+v, %v", pcs.VCs, res, err)
 	}
 }
 
@@ -224,11 +230,18 @@ func TestRunFullCrossbar(t *testing.T) {
 	}
 }
 
-func TestRunPCSBasics(t *testing.T) {
+// pcsBasicsCfg is the paper's PCS switch (Fig. 8: 24 VCs at 100 Mb/s) at
+// load 0.7, at fastCfg's scale.
+func pcsBasicsCfg() Config {
 	cfg := fastCfg()
 	cfg.VCs = 24
 	cfg.LinkBandwidthBps = 100e6
 	cfg.Load = 0.7
+	return cfg
+}
+
+func TestRunPCSBasics(t *testing.T) {
+	cfg := pcsBasicsCfg()
 	res, err := RunPCS(cfg)
 	if err != nil {
 		t.Fatal(err)

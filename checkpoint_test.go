@@ -381,11 +381,15 @@ func TestCheckpointAfterFinishRefused(t *testing.T) {
 
 // FuzzCheckpointRoundTrip drives random configs and random checkpoint
 // instants through the golden property: interrupting never changes the
-// result.
+// result. knobs picks the discipline: knobs%3 one of Virtual Clock, FIFO
+// and round-robin, unless bits 3–5, taken mod 5, pick WRR, DRR at quantum
+// 2, WF²Q+ or SP+WRR at weights 3:1; bit 2 picks CBR.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(70), uint8(80), uint8(0), uint16(50))
 	f.Add(uint64(7), uint8(40), uint8(100), uint8(1), uint16(0))
 	f.Add(uint64(42), uint8(90), uint8(50), uint8(2), uint16(100))
+	f.Add(uint64(3), uint8(70), uint8(60), uint8(3<<3), uint16(500)) // WF²Q+
+	f.Add(uint64(5), uint8(80), uint8(60), uint8(4<<3), uint16(700)) // SP+WRR
 	f.Fuzz(func(t *testing.T, seed uint64, loadPct, rtPct, knobs uint8, atPermille uint16) {
 		cfg := DefaultConfig().Scale(0.1)
 		cfg.Measure = 4 * cfg.FrameInterval
@@ -399,6 +403,10 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		case 2:
 			cfg.Policy = RoundRobin
 			cfg.VBRModel = VBRGoP
+		}
+		if w := (knobs >> 3) % 5; w > 0 {
+			cfg.Policy = [...]Policy{WRR, DRR, WF2Q, SPWRR}[w-1]
+			cfg.Sched = SchedConfig{RTWeight: 3, BEWeight: 1, Quantum: 2} // only DRR reads Quantum
 		}
 		if knobs&4 != 0 {
 			cfg.Class = CBR

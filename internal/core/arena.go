@@ -10,10 +10,10 @@ import (
 // Arena is a struct-of-arrays backing store for router hot state. A fabric
 // builder allocates one arena sized for all of its routers, and every router
 // carves its per-port/per-VC tables — input VCs, output VCs, flit buffer
-// rings, occupancy, stage-full, phase, input-full, fresh-head and
-// claimed-output target masks, link-health flags, stall counters and the
-// per-VC and per-port counter blocks — as contiguous subslices of the
-// shared slabs.
+// rings, its per-port words (occupancy, stage-full, phase, input-full,
+// fresh-head and claimed-output target masks, stall counters and stage-4
+// scratch), link-health flags and the per-VC and per-port counter blocks —
+// as contiguous subslices of the shared slabs.
 // The result is a handful of large allocations per fabric instead of
 // O(routers × ports × VCs) small ones, and same-kind state packed
 // contiguously across routers, which is what keeps a 256-router torus
@@ -26,9 +26,8 @@ type Arena struct {
 	inv    []inVC             // backing slab; the owning routers serialize their views
 	outv   []outVC            // backing slab; the owning routers serialize their views
 	flits  []flit.Flit        // backing slab; ring contents serialize through the owning routers
-	masks  []uint64           // backing slab; derived state the owning routers rebuild on restore
+	words  []uint64           // backing slab; the owning routers serialize their stall counters and rebuild the masks on restore
 	health []bool             // backing slab; the owning routers serialize their views
-	stalls []uint64           // backing slab; the owning routers serialize their views
 	vcc    []obs.VCCounters   // backing slab; the owning routers serialize their views
 	pc     []obs.PortCounters // backing slab; the owning routers serialize their views
 	// deadTransit is derived from the routers' link-health flags: it is
@@ -37,13 +36,14 @@ type Arena struct {
 }
 
 // arenaShape returns the per-router slab demand for a config.
-func arenaShape(cfg Config) (pv, flits, masks, health int) {
+func arenaShape(cfg Config) (pv, flits, words, health int) {
 	pv = cfg.Ports * cfg.VCs
 	flits = pv * (cfg.BufferDepth + cfg.StageDepth)
-	// Input, output, stage-full, active, requested, input-full and
-	// fresh-head VCs, two words per port each, and the claimed-output
-	// target masks, two words per (input port, output port) pair.
-	masks = 14*cfg.Ports + 2*cfg.Ports*cfg.Ports
+	// Per port, the input, output, stage-full, active, requested,
+	// input-full and fresh-head masks, the stall counter and stage 4's
+	// scratch word; per (input port, output port) pair, the claimed-output
+	// target mask.
+	words = 9*cfg.Ports + cfg.Ports*cfg.Ports
 	health = 2 * cfg.Ports // linkUp + stalled
 	return
 }
@@ -52,11 +52,10 @@ func arenaShape(cfg Config) (pv, flits, masks, health int) {
 // of cfg's shape, from the same slab demand, so a fabric too large to
 // build can be refused before any of it is allocated.
 func ArenaBytes(routers int, cfg Config) float64 {
-	pv, flits, masks, health := arenaShape(cfg)
+	pv, flits, words, health := arenaShape(cfg)
 	perVC := unsafe.Sizeof(inVC{}) + unsafe.Sizeof(outVC{}) + unsafe.Sizeof(obs.VCCounters{})
-	perPort := 8 + unsafe.Sizeof(obs.PortCounters{}) // a stall-cycle word and a port block
 	return float64(routers) * (float64(pv)*float64(perVC) + float64(flits)*float64(unsafe.Sizeof(flit.Flit{})) +
-		float64(8*masks+health) + float64(cfg.Ports)*float64(perPort))
+		float64(8*words+health) + float64(cfg.Ports)*float64(unsafe.Sizeof(obs.PortCounters{})))
 }
 
 // NewArena preallocates slabs for `routers` routers of identical shape.
@@ -68,14 +67,13 @@ func NewArena(routers int, cfg Config) *Arena {
 	if routers < 1 {
 		routers = 1
 	}
-	pv, flits, masks, health := arenaShape(cfg)
+	pv, flits, words, health := arenaShape(cfg)
 	return &Arena{
 		inv:    make([]inVC, 0, routers*pv),
 		outv:   make([]outVC, 0, routers*pv),
 		flits:  make([]flit.Flit, 0, routers*flits),
-		masks:  make([]uint64, 0, routers*masks),
+		words:  make([]uint64, 0, routers*words),
 		health: make([]bool, 0, routers*health),
-		stalls: make([]uint64, 0, routers*cfg.Ports),
 		vcc:    make([]obs.VCCounters, 0, routers*pv),
 		pc:     make([]obs.PortCounters, 0, routers*cfg.Ports),
 	}

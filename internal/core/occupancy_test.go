@@ -161,17 +161,18 @@ func sameMasks(a, b *Router) error {
 }
 
 // TestWideRouterSummaries runs worms on ports 0, 63, 64 and 99 of a
-// 100-port, 100-VC router, each bound for the port mirrored across the
-// router, on VCs 0, 99, 64 and 63, so both words of every port summary and
-// of every port's VC masks carry bits. The run is audited each cycle, and
-// a checkpoint taken mid-run restores into a router whose masks and
+// 100-port router with the most VCs a router may have, each bound for the
+// port mirrored across the router, on VCs 0, 63, 32 and 31, so both words
+// of every port summary carry bits, and the VC masks carry bits at both
+// ends and across the middle of their word. The run is audited each cycle,
+// and a checkpoint taken mid-run restores into a router whose masks and
 // summaries match and which then delivers the rest of every worm exactly
 // as the original does.
 func TestWideRouterSummaries(t *testing.T) {
 	cfg := testConfig(sched.VirtualClock)
-	cfg.Ports, cfg.VCs, cfg.BufferDepth = 100, 100, 12
+	cfg.Ports, cfg.VCs, cfg.BufferDepth = 100, sched.MaxVCs, 12
 	a, caps := build(t, cfg)
-	ports, vcs := []int{0, 63, 64, 99}, []int{0, 99, 64, 63}
+	ports, vcs := []int{0, 63, 64, 99}, []int{0, 63, 32, 31}
 	for i, p := range ports {
 		deliver(a, p, vcs[i], msg(uint64(i+1), ports[len(ports)-1-i], vcs[i], 12, 100), period)
 	}
@@ -248,7 +249,7 @@ func TestCreditAndFreshMasksThroughStall(t *testing.T) {
 	now := period
 	cycle := func() {
 		t.Helper()
-		if sent < worm.Flits && r.HasCredit(0, 0) {
+		if sent < worm.Flits && hasCredit(r, 0, 0) {
 			r.Deliver(0, 0, flit.Flit{Msg: worm, Seq: sent, Enq: now})
 			sent++
 		}
@@ -259,11 +260,11 @@ func TestCreditAndFreshMasksThroughStall(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cycle()
 	}
-	if want := cfg.BufferDepth + cfg.StageDepth; sent != want || r.HasCredit(0, 0) {
+	if want := cfg.BufferDepth + cfg.StageDepth; sent != want || hasCredit(r, 0, 0) {
 		t.Fatalf("stalled port took %d flits (credit %v), want %d and none left",
-			sent, r.HasCredit(0, 0), want)
+			sent, hasCredit(r, 0, 0), want)
 	}
-	down.full = [2]uint64{^uint64(0), ^uint64(0)}
+	down.full = ^uint64(0)
 	r.SetPortStalled(1, false)
 	stalls := r.PortStats(1).StallCycles
 	for i := 0; i < 5; i++ {
@@ -273,7 +274,7 @@ func TestCreditAndFreshMasksThroughStall(t *testing.T) {
 		t.Fatalf("port without credit sent %d flits and stalled %d of 5 cycles, want 0 and 5",
 			len(down.flits), n)
 	}
-	down.full = [2]uint64{}
+	down.full = 0
 	for i := 0; i < 40; i++ {
 		cycle()
 	}

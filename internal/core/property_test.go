@@ -20,7 +20,7 @@ func newSeqCapture(t *testing.T) *seqCapture {
 	return &seqCapture{nextSeq: map[*flit.Message]int{}, t: t}
 }
 
-func (c *seqCapture) Full() *[2]uint64 { return &noneFull }
+func (c *seqCapture) Full() *uint64 { return &noneFull }
 
 func (c *seqCapture) Accept(vc int, f flit.Flit) {
 	if f.Seq != c.nextSeq[f.Msg] {
@@ -112,7 +112,7 @@ func TestPropertyConservationAndOrder(t *testing.T) {
 				// Gather VCs with pending flits and credit.
 				var eligible []int
 				for v := 0; v < vcs; v++ {
-					if !feeders[p][v].done() && router.HasCredit(p, v) {
+					if !feeders[p][v].done() && hasCredit(router, p, v) {
 						eligible = append(eligible, v)
 					}
 				}

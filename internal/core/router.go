@@ -64,12 +64,11 @@ const (
 // network layer implements it for endpoint sinks and for the input ports of
 // downstream routers.
 type Consumer interface {
-	// Full returns the consumer's full mask: bit v%64 of word v/64 is set
-	// while VC v cannot accept a flit, so a clear bit is a credit. Connect
-	// caches the pointer and stage 5 reads the words every cycle, so the
-	// pointer must stay valid, and the words current, for the consumer's
-	// life.
-	Full() *[2]uint64
+	// Full returns the consumer's full mask: bit v is set while VC v cannot
+	// accept a flit, so a clear bit is a credit. Connect caches the pointer
+	// and stage 5 reads the word every cycle, so the pointer must stay
+	// valid, and the word current, for the consumer's life.
+	Full() *uint64
 	// Accept delivers a flit on vc. f.Enq is the arrival instant (one cycle
 	// after transmission). Accept must not be called while vc's full bit is
 	// set.
@@ -149,7 +148,7 @@ func (c *Config) validate() error {
 	switch {
 	case c.Ports <= 0 || c.Ports > 127:
 		return fmt.Errorf("core: Ports = %d", c.Ports)
-	case c.VCs <= 0 || c.VCs > 127:
+	case c.VCs <= 0 || c.VCs > sched.MaxVCs:
 		return fmt.Errorf("core: VCs = %d", c.VCs)
 	case c.RTVCs < 0 || c.RTVCs > c.VCs:
 		return fmt.Errorf("core: RTVCs = %d with %d VCs", c.RTVCs, c.VCs)
@@ -232,7 +231,7 @@ type outPort struct {
 	arb      sched.Arbiter // link VC multiplexer (point C)
 	// full is the consumer's full mask (Consumer.Full), cached by Connect so
 	// stage 5 reads a credit word per port instead of calling per VC.
-	full *[2]uint64 //mw:snapcover — downstream wiring; the consumer keeps the words current
+	full *uint64 //mw:snapcover — downstream wiring; the consumer keeps the word current
 }
 
 // Stats counts router activity for tests and instrumentation. Stats()
@@ -310,11 +309,11 @@ type Router struct {
 	// restore rebuilds, or per-cycle scratch — outside the snapshot
 	// contract.
 	//
-	// inMask and outMask are the per-port occupancy bitmasks, two words per
-	// port (VC v of port p is bit v%64 of word 2p+v/64): an input VC's bit
-	// is set while it buffers flits or its phase is not idle, an output
-	// VC's while it stages flits. Stages 2, 4 and 5 visit only set bits, in
-	// ascending VC order; markIn and markOut keep them in step.
+	// inMask and outMask are the per-port occupancy bitmasks, one word per
+	// port (VC v of port p is bit v of word p): an input VC's bit is set
+	// while it buffers flits or its phase is not idle, an output VC's while
+	// it stages flits. Stages 2, 4 and 5 visit only set bits, in ascending
+	// VC order; markIn and markOut keep them in step.
 	inMask  []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
 	outMask []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
 	// fullMask, laid out like outMask, marks the output VCs whose staging
@@ -344,11 +343,11 @@ type Router struct {
 	// Deliver sets a bit when its push fills the ring, forward clears it
 	// after a pop, and markIn recomputes it.
 	inFull []uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds it
-	// tgt holds the claimed-output target masks, two words per (input
-	// port, output port) pair at 2·(p·Ports+o): an input VC's bit is set
-	// while its phase is vcActive with outPort o. markIn keeps them in step,
-	// and stage 4's first pass ORs the words of the outputs claimed so far
-	// into the port's claim-blocked set.
+	// tgt holds the claimed-output target masks, one word per (input port,
+	// output port) pair at p·Ports+o: an input VC's bit is set while its
+	// phase is vcActive with outPort o. markIn keeps them in step, and
+	// stage 4's first pass ORs the words of the outputs claimed so far into
+	// the port's claim-blocked set.
 	tgt []uint64 //mw:snapcover — derived from the VC phases; RestoreState rebuilds it
 	// fresh, laid out like outMask, marks the output VCs whose head flit was
 	// staged this cycle and so cannot leave before the next: forward sets a
@@ -363,7 +362,6 @@ type Router struct {
 	ownKilled bool                             //mw:snapcover — a standalone router's flag; see killed
 	cfg       Config                           //mw:snapcover — run-immutable config; RestoreSim rebuilds the router from the checkpoint's embedded config and re-validates against it
 	nvc       int                              //mw:snapcover — copy of cfg.VCs, the flat-index stride
-	vcw       int                              //mw:snapcover — derived from cfg: the mask words a port's VCs use, 1 up to 64 VCs, else 2
 	fullXb    bool                             //mw:snapcover — derived from cfg at construction
 	corrupt   func(port int, f flit.Flit) bool //mw:snapcover — fault-injection hook; fault runs refuse checkpoints
 	routeBuf  []int                            //mw:snapcover — per-cycle scratch for health-filtered routing candidates
@@ -406,31 +404,32 @@ func New(cfg Config) (*Router, error) {
 		cfg.Arena = NewArena(1, cfg)
 	}
 	a := cfg.Arena
-	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, vcw: (cfg.VCs + 63) / 64, fullXb: cfg.FullCrossbar}
-	pv, _, masks, _ := arenaShape(cfg)
+	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, fullXb: cfg.FullCrossbar}
+	pv, _, words, _ := arenaShape(cfg)
 	r.waitBuf = make([]int32, 0, pv)
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
+	r.inv = carve(&a.inv, pv)
+	r.outv = carve(&a.outv, pv)
+	occ, w := carve(&a.words, words), cfg.Ports
+	r.inMask, r.outMask, r.fullMask = occ[:w:w], occ[w:2*w:2*w], occ[2*w:3*w:3*w]
+	r.actMask, r.reqMask = occ[3*w:4*w:4*w], occ[4*w:5*w:5*w]
+	r.inFull, r.fresh, r.stallCycles = occ[5*w:6*w:6*w], occ[6*w:7*w:7*w], occ[7*w:8*w:8*w]
+	scratch := occ[8*w : 9*w : 9*w]
+	r.tgt = occ[9*w:]
 	if r.fullXb {
 		r.feeder = make([]int32, pv)
 		r.feederCand = make([]sched.Candidate, pv)
-		r.fed = make([]uint64, 2*cfg.Ports)
+		r.fed = scratch
 	} else {
 		r.claimedBy = make([]int8, cfg.Ports)
 		r.pickedVC = make([]int8, cfg.Ports)
-		r.claimBlk = make([]uint64, 2*cfg.Ports)
+		r.claimBlk = scratch
 	}
-	r.inv = carve(&a.inv, pv)
-	r.outv = carve(&a.outv, pv)
-	occ, w := carve(&a.masks, masks), 2*cfg.Ports
-	r.inMask, r.outMask, r.fullMask = occ[:w:w], occ[w:2*w:2*w], occ[2*w:3*w:3*w]
-	r.actMask, r.reqMask = occ[3*w:4*w:4*w], occ[4*w:5*w:5*w]
-	r.inFull, r.fresh, r.tgt = occ[5*w:6*w:6*w], occ[6*w:7*w:7*w], occ[7*w:]
 	r.killed = &r.ownKilled
 	r.inArbs = make([]sched.Arbiter, cfg.Ports)
 	r.outs = make([]outPort, cfg.Ports)
 	health := carve(&a.health, 2*cfg.Ports)
 	r.linkUp, r.stalled = health[:cfg.Ports:cfg.Ports], health[cfg.Ports:]
-	r.stallCycles = carve(&a.stalls, cfg.Ports)
 	r.vcc = carve(&a.vcc, pv)
 	r.pc = carve(&a.pc, cfg.Ports)
 	r.routeBuf = make([]int, 0, cfg.Ports)
@@ -555,29 +554,28 @@ func (r *Router) kill(p int, msg *flit.Message, cause obs.Cause) {
 // while it is idle, so clearing its bit in the word of its current outPort
 // clears the only target bit it can hold.
 func (r *Router) markIn(in *inVC) {
-	p := int(in.port)
-	w, bit := 2*p+int(in.vcIdx)>>6, uint64(1)<<(uint(in.vcIdx)&63)
-	t := 2*(p*len(r.outs)+in.outPort) + int(in.vcIdx)>>6
-	r.inMask[w] |= bit
-	r.actMask[w] &^= bit
-	r.reqMask[w] &^= bit
+	p, bit := int(in.port), uint64(1)<<uint(in.vcIdx)
+	t := p*len(r.outs) + in.outPort
+	r.inMask[p] |= bit
+	r.actMask[p] &^= bit
+	r.reqMask[p] &^= bit
 	r.tgt[t] &^= bit
-	r.inFull[w] &^= bit
+	r.inFull[p] &^= bit
 	if in.q.space() == 0 {
-		r.inFull[w] |= bit
+		r.inFull[p] |= bit
 	}
 	switch in.phase {
 	case vcIdle:
 		if in.q.empty() {
-			r.inMask[w] &^= bit
+			r.inMask[p] &^= bit
 		}
 	case vcRequested:
-		r.reqMask[w] |= bit
+		r.reqMask[p] |= bit
 	case vcActive:
-		r.actMask[w] |= bit
+		r.actMask[p] |= bit
 		r.tgt[t] |= bit
 	}
-	r.inPorts.set(p, r.inMask[2*p]|r.inMask[2*p+1] != 0)
+	r.inPorts.set(p, r.inMask[p] != 0)
 }
 
 // releaseOut frees output VC (p, v) from the message holding it and flags
@@ -591,17 +589,17 @@ func (r *Router) releaseOut(p, v int) {
 // markOut recomputes output VC (p, v)'s occupancy and stage-full bits, and
 // port p's summary bit, from its state.
 func (r *Router) markOut(p, v int) {
-	w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
+	bit := uint64(1) << uint(v)
 	st := &r.outv[p*r.nvc+v].stage
-	r.outMask[w] &^= bit
-	r.fullMask[w] &^= bit
+	r.outMask[p] &^= bit
+	r.fullMask[p] &^= bit
 	if !st.empty() {
-		r.outMask[w] |= bit
+		r.outMask[p] |= bit
 	}
 	if st.space() == 0 {
-		r.fullMask[w] |= bit
+		r.fullMask[p] |= bit
 	}
-	r.outPorts.set(p, r.outMask[2*p]|r.outMask[2*p+1] != 0)
+	r.outPorts.set(p, r.outMask[p] != 0)
 }
 
 // idle reports whether a Step would find nothing to do: no occupied input
@@ -627,20 +625,18 @@ func (r *Router) waiting(p int) []int32 {
 	for qi, qw := range r.inPorts {
 		for ; qw != 0; qw &= qw - 1 {
 			q := qi<<6 | bits.TrailingZeros64(qw)
-			for wi := 0; wi < r.vcw; wi++ {
-				for w := r.reqMask[2*q+wi]; w != 0; w &= w - 1 {
-					i := q*r.nvc + (wi<<6 | bits.TrailingZeros64(w))
-					in := &r.inv[i]
-					if in.outPort != p {
-						continue
-					}
-					r.waitBuf = append(r.waitBuf, int32(i))
-					j := len(r.waitBuf) - 1
-					for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
-						r.waitBuf[j] = r.waitBuf[j-1]
-					}
-					r.waitBuf[j] = int32(i)
+			for w := r.reqMask[q]; w != 0; w &= w - 1 {
+				i := q*r.nvc + bits.TrailingZeros64(w)
+				in := &r.inv[i]
+				if in.outPort != p {
+					continue
 				}
+				r.waitBuf = append(r.waitBuf, int32(i))
+				j := len(r.waitBuf) - 1
+				for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
+					r.waitBuf[j] = r.waitBuf[j-1]
+				}
+				r.waitBuf[j] = int32(i)
 			}
 		}
 	}
@@ -773,16 +769,9 @@ func (r *Router) Connect(p int, c Consumer, endpoint bool) {
 }
 
 // InputFull returns input port p's full mask, the Consumer.Full of the
-// port: bit v%64 of word v/64 is set while VC v's buffer has no space. The
-// words live in the router's arena and stay current as flits arrive and
-// leave.
-func (r *Router) InputFull(p int) *[2]uint64 { return (*[2]uint64)(r.inFull[2*p : 2*p+2]) }
-
-// HasCredit reports whether input port p, VC vc can accept a flit: its
-// full bit is clear.
-func (r *Router) HasCredit(p, vc int) bool {
-	return r.inFull[2*p+vc>>6]&(1<<(uint(vc)&63)) == 0
-}
+// port: bit v is set while VC v's buffer has no space. The word lives in
+// the router's arena and stays current as flits arrive and leave.
+func (r *Router) InputFull(p int) *uint64 { return &r.inFull[p] }
 
 // Deliver enqueues a flit into input port p, VC vc (pipeline stage 1).
 // f.Enq must already hold the arrival instant; the flit is (re)stamped with
@@ -822,7 +811,7 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 	}
 	in.q.push(f)
 	if in.q.space() == 0 {
-		r.inFull[2*p+vc>>6] |= 1 << (uint(vc) & 63)
+		r.inFull[p] |= 1 << uint(vc)
 	}
 	if in.phase == vcIdle {
 		r.markIn(in) // a granted or waiting VC is occupied already
@@ -869,62 +858,60 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	for pi, pw := range r.inPorts {
 		for ; pw != 0; pw &= pw - 1 {
 			p := pi<<6 | bits.TrailingZeros64(pw)
-			for wi := 0; wi < r.vcw; wi++ {
-				w := r.inMask[2*p+wi]
-				if !killed {
-					w &^= r.actMask[2*p+wi] | r.reqMask[2*p+wi]
+			w := r.inMask[p]
+			if !killed {
+				w &^= r.actMask[p] | r.reqMask[p]
+			}
+			for ; w != 0; w &= w - 1 {
+				v := bits.TrailingZeros64(w)
+				in := &r.inv[p*r.nvc+v]
+				if killed {
+					r.reapInVC(p, in)
 				}
-				for ; w != 0; w &= w - 1 {
-					v := wi<<6 | bits.TrailingZeros64(w)
-					in := &r.inv[p*r.nvc+v]
-					if killed {
-						r.reapInVC(p, in)
-					}
-					if in.phase != vcIdle || in.q.empty() {
-						continue
-					}
-					head := in.q.peek()
-					if head.Enq >= now { // stage-1 synchronization: not yet visible
-						continue
-					}
-					if !head.IsHeader() {
-						panic("core: non-header flit at head of idle VC")
-					}
-					msg := head.Msg
-					cands := r.liveRoute(msg)
-					if len(cands) == 0 {
-						// No live route (all candidate links down, or the
-						// routing function found the destination
-						// unreachable): kill the message so its buffered
-						// flits are reclaimed rather than blocking the VC
-						// forever. Retransmission retries it once a route
-						// recovers.
-						r.kill(p, msg, obs.CauseNoRoute)
-						killed = true
-						r.reapInVC(p, in)
-						continue
-					}
-					out := cands[0]
-					if len(cands) > 1 {
-						// Fat links: pick the currently least-loaded
-						// candidate (§3.4), ties to the lower port index.
-						best, bestLoad := cands[0], r.portLoad(cands[0])
-						for _, c := range cands[1:] {
-							if l := r.portLoad(c); l < bestLoad {
-								best, bestLoad = c, l
-							}
+				if in.phase != vcIdle || in.q.empty() {
+					continue
+				}
+				head := in.q.peek()
+				if head.Enq >= now { // stage-1 synchronization: not yet visible
+					continue
+				}
+				if !head.IsHeader() {
+					panic("core: non-header flit at head of idle VC")
+				}
+				msg := head.Msg
+				cands := r.liveRoute(msg)
+				if len(cands) == 0 {
+					// No live route (all candidate links down, or the
+					// routing function found the destination
+					// unreachable): kill the message so its buffered
+					// flits are reclaimed rather than blocking the VC
+					// forever. Retransmission retries it once a route
+					// recovers.
+					r.kill(p, msg, obs.CauseNoRoute)
+					killed = true
+					r.reapInVC(p, in)
+					continue
+				}
+				out := cands[0]
+				if len(cands) > 1 {
+					// Fat links: pick the currently least-loaded
+					// candidate (§3.4), ties to the lower port index.
+					best, bestLoad := cands[0], r.portLoad(cands[0])
+					for _, c := range cands[1:] {
+						if l := r.portLoad(c); l < bestLoad {
+							best, bestLoad = c, l
 						}
-						out = best
 					}
-					in.headMsg = msg
-					in.outPort = out
-					in.phase = vcRequested
-					in.reqSeq, in.reqAt = r.seq, now
-					r.markIn(in)
-					r.retry.add(out)
-					r.seq++
-					r.stats.RequestsQueued++
+					out = best
 				}
+				in.headMsg = msg
+				in.outPort = out
+				in.phase = vcRequested
+				in.reqSeq, in.reqAt = r.seq, now
+				r.markIn(in)
+				r.retry.add(out)
+				r.seq++
+				r.stats.RequestsQueued++
 			}
 		}
 	}
@@ -1121,67 +1108,63 @@ func (r *Router) switchTraversal(now sim.Time) {
 		for ; bw != 0; bw &= bw - 1 {
 			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
 			cands = cands[:0]
-			var blks [2]uint64 // granted VCs whose output is claimed
-			if r.claimed != (portSet{}) && r.actMask[2*p]|r.actMask[2*p+1] != 0 {
-				row := r.tgt[2*p*len(r.outs):]
+			a := r.actMask[p]
+			var blk uint64 // granted VCs whose output is claimed
+			if r.claimed != (portSet{}) && a != 0 {
+				row := r.tgt[p*len(r.outs):]
 				for ci, cw := range r.claimed {
 					for ; cw != 0; cw &= cw - 1 {
-						o := ci<<6 | bits.TrailingZeros64(cw)
-						blks[0] |= row[2*o]
-						blks[1] |= row[2*o+1]
+						blk |= row[ci<<6|bits.TrailingZeros64(cw)]
 					}
 				}
 			}
-			for wi := 0; wi < r.vcw; wi++ {
-				a, blk := r.actMask[2*p+wi], blks[wi]
-				r.claimBlk[2*p+wi] = blk
-				if blk != 0 {
-					r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
-					r.blocked.add(p)
-				}
-				w := r.inMask[2*p+wi]
-				if r.trc == nil {
-					r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
-					w = a &^ blk
-				}
-				for ; w != 0; w &= w - 1 {
-					v := wi<<6 | bits.TrailingZeros64(w)
-					in := &r.inv[p*r.nvc+v]
-					if blk&(w&-w) != 0 {
-						if !in.q.empty() {
-							r.traceBlock(in, now, obs.CauseClaimed)
-						}
-						continue
+			r.claimBlk[p] = blk
+			if blk != 0 {
+				r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
+				r.blocked.add(p)
+			}
+			w := r.inMask[p]
+			if r.trc == nil {
+				r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
+				w = a &^ blk
+			}
+			for ; w != 0; w &= w - 1 {
+				v := bits.TrailingZeros64(w)
+				in := &r.inv[p*r.nvc+v]
+				if blk&(w&-w) != 0 {
+					if !in.q.empty() {
+						r.traceBlock(in, now, obs.CauseClaimed)
 					}
-					if !r.vcEligible(in, now) {
-						if !in.q.empty() {
-							switch {
-							case in.phase != vcActive:
-								r.stats.BlockedNotGranted++
-								r.traceBlock(in, now, obs.CauseNotGranted)
-							case in.grantedAt >= now || in.q.peek().Enq >= now:
-								r.stats.BlockedJustMoved++
-								r.traceBlock(in, now, obs.CauseJustMoved)
-							default:
-								r.stats.BlockedStageFull++
-								r.traceBlock(in, now, obs.CauseStageFull)
-							}
-						}
-						continue
-					}
-					head := in.q.peek()
-					cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
+					continue
 				}
+				if !r.vcEligible(in, now) {
+					if !in.q.empty() {
+						switch {
+						case in.phase != vcActive:
+							r.stats.BlockedNotGranted++
+							r.traceBlock(in, now, obs.CauseNotGranted)
+						case in.grantedAt >= now || in.q.peek().Enq >= now:
+							r.stats.BlockedJustMoved++
+							r.traceBlock(in, now, obs.CauseJustMoved)
+						default:
+							r.stats.BlockedStageFull++
+							r.traceBlock(in, now, obs.CauseStageFull)
+						}
+					}
+					continue
+				}
+				head := in.q.peek()
+				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 			}
 			if len(cands) == 0 {
 				continue
 			}
-			w := cands[r.inArbs[p].Pick(cands)].VC
-			out := r.inv[p*r.nvc+w].outPort
+			v := cands[r.inArbs[p].Pick(cands)].VC
+			out := r.inv[p*r.nvc+v].outPort
 			r.claimed.add(out)
 			r.claimedBy[out] = int8(p)
 			r.picked.add(p)
-			r.pickedVC[p] = int8(w)
+			r.pickedVC[p] = int8(v)
 		}
 	}
 	if r.cfg.AllocatorIterations >= 2 {
@@ -1229,32 +1212,28 @@ func (r *Router) augment(now sim.Time, start int) {
 		for ; bw != 0; bw &= bw - 1 {
 			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
 		vcLoop:
-			for wi, w := range r.claimBlk[2*p : 2*p+r.vcw] {
-				for ; w != 0; w &= w - 1 {
-					v := wi<<6 | bits.TrailingZeros64(w)
-					in := &r.inv[p*r.nvc+v]
-					if !r.vcEligible(in, now) {
+			for w := r.claimBlk[p]; w != 0; w &= w - 1 {
+				v := bits.TrailingZeros64(w)
+				in := &r.inv[p*r.nvc+v]
+				if !r.vcEligible(in, now) {
+					continue
+				}
+				j := int(r.claimedBy[in.outPort]) // a claim-blocked VC's output is claimed
+				for wa := r.actMask[j]; wa != 0; wa &= wa - 1 {
+					jv := bits.TrailingZeros64(wa)
+					alt := &r.inv[j*r.nvc+jv]
+					if jv == int(r.pickedVC[j]) || r.claimed.has(alt.outPort) || !r.vcEligible(alt, now) {
 						continue
 					}
-					j := int(r.claimedBy[in.outPort]) // a claim-blocked VC's output is claimed
-					for wj, wa := range r.actMask[2*j : 2*j+r.vcw] {
-						for ; wa != 0; wa &= wa - 1 {
-							jv := wj<<6 | bits.TrailingZeros64(wa)
-							alt := &r.inv[j*r.nvc+jv]
-							if jv == int(r.pickedVC[j]) || r.claimed.has(alt.outPort) || !r.vcEligible(alt, now) {
-								continue
-							}
-							// Re-point input j to the free output and hand the
-							// contested one to p.
-							r.claimed.add(alt.outPort)
-							r.claimedBy[alt.outPort] = int8(j)
-							r.pickedVC[j] = int8(jv)
-							r.claimedBy[in.outPort] = int8(p)
-							r.picked.add(p)
-							r.pickedVC[p] = int8(v)
-							break vcLoop
-						}
-					}
+					// Re-point input j to the free output and hand the
+					// contested one to p.
+					r.claimed.add(alt.outPort)
+					r.claimedBy[alt.outPort] = int8(j)
+					r.pickedVC[j] = int8(jv)
+					r.claimedBy[in.outPort] = int8(p)
+					r.picked.add(p)
+					r.pickedVC[p] = int8(v)
+					break vcLoop
 				}
 			}
 		}
@@ -1285,24 +1264,22 @@ func (r *Router) fullTraversal(now sim.Time) {
 	for pi, pw := range r.inPorts {
 		for ; pw != 0; pw &= pw - 1 {
 			p := pi<<6 | bits.TrailingZeros64(pw)
-			for wi, w := range r.actMask[2*p : 2*p+r.vcw] { // vcEligible requires vcActive
-				for ; w != 0; w &= w - 1 {
-					v := wi<<6 | bits.TrailingZeros64(w)
-					i := p*m + v
-					in := &r.inv[i]
-					if !r.vcEligible(in, now) {
-						continue
-					}
-					head := in.q.peek()
-					c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
-					key := in.outPort*m + in.outVC
-					fw, fb := 2*in.outPort+in.outVC>>6, uint64(1)<<(uint(in.outVC)&63)
-					if r.fed[fw]&fb == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
-						r.fed[fw] |= fb
-						r.fedPorts.add(in.outPort)
-						r.feeder[key] = int32(i)
-						r.feederCand[key] = c
-					}
+			for w := r.actMask[p]; w != 0; w &= w - 1 { // vcEligible requires vcActive
+				v := bits.TrailingZeros64(w)
+				i := p*m + v
+				in := &r.inv[i]
+				if !r.vcEligible(in, now) {
+					continue
+				}
+				head := in.q.peek()
+				c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
+				key := in.outPort*m + in.outVC
+				bit := uint64(1) << uint(in.outVC)
+				if r.fed[in.outPort]&bit == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
+					r.fed[in.outPort] |= bit
+					r.fedPorts.add(in.outPort)
+					r.feeder[key] = int32(i)
+					r.feederCand[key] = c
 				}
 			}
 		}
@@ -1310,12 +1287,10 @@ func (r *Router) fullTraversal(now sim.Time) {
 	for pi, pw := range r.fedPorts {
 		for ; pw != 0; pw &= pw - 1 {
 			p := pi<<6 | bits.TrailingZeros64(pw)
-			for wi := 0; wi < 2; wi++ {
-				w := r.fed[2*p+wi]
-				r.fed[2*p+wi] = 0
-				for ; w != 0; w &= w - 1 {
-					r.forward(&r.inv[r.feeder[p*m+(wi<<6|bits.TrailingZeros64(w))]], now)
-				}
+			w := r.fed[p]
+			r.fed[p] = 0
+			for ; w != 0; w &= w - 1 {
+				r.forward(&r.inv[r.feeder[p*m+bits.TrailingZeros64(w)]], now)
 			}
 		}
 	}
@@ -1334,7 +1309,7 @@ func (r *Router) vcEligible(in *inVC, now sim.Time) bool {
 	if head.Enq >= now { // stage-1 synchronization
 		return false
 	}
-	return r.fullMask[2*in.outPort+in.outVC>>6]&(1<<(uint(in.outVC)&63)) == 0
+	return r.fullMask[in.outPort]&(1<<uint(in.outVC)) == 0
 }
 
 // forward moves in's head flit through the crossbar into its output VC's
@@ -1345,7 +1320,7 @@ func (r *Router) vcEligible(in *inVC, now sim.Time) bool {
 func (r *Router) forward(in *inVC, now sim.Time) {
 	r.traceUnblock(in, now)
 	f := in.q.pop()
-	r.inFull[2*int(in.port)+int(in.vcIdx)>>6] &^= 1 << (uint(in.vcIdx) & 63)
+	r.inFull[in.port] &^= 1 << uint(in.vcIdx)
 	ov := r.outAt(in.outPort, in.outVC)
 	r.vcc[int(in.port)*r.nvc+int(in.vcIdx)].Switched++
 	if r.trc != nil {
@@ -1366,7 +1341,7 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 	f.TS = ov.clk.Stamp(now, f.Msg.Vtick)
 	f.Enq = now
 	if ov.stage.empty() {
-		r.fresh[2*in.outPort+in.outVC>>6] |= 1 << (uint(in.outVC) & 63)
+		r.fresh[in.outPort] |= 1 << uint(in.outVC)
 	}
 	ov.stage.push(f)
 	r.markOut(in.outPort, in.outVC)
@@ -1406,10 +1381,9 @@ func (r *Router) transmit(now sim.Time) {
 			if reaping {
 				r.reapOutPort(p, now)
 			}
-			fw := r.fresh[2*p : 2*p+2 : 2*p+2]
-			fresh := [2]uint64{fw[0], fw[1]}
-			fw[0], fw[1] = 0, 0
-			if reaping && r.outMask[2*p]|r.outMask[2*p+1] == 0 {
+			fresh := r.fresh[p]
+			r.fresh[p] = 0
+			if reaping && r.outMask[p] == 0 {
 				continue
 			}
 			if !r.linkUp[p] || r.stalled[p] {
@@ -1422,12 +1396,10 @@ func (r *Router) transmit(now sim.Time) {
 			op := &r.outs[p]
 			cands := r.cands // at most one candidate per VC: never outgrows New's capacity
 			cands = cands[:0]
-			for wi, w := range r.outMask[2*p : 2*p+r.vcw] {
-				for w &^= op.full[wi] | fresh[wi]; w != 0; w &= w - 1 {
-					v := wi<<6 | bits.TrailingZeros64(w)
-					head := r.outv[p*r.nvc+v].stage.peek()
-					cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
-				}
+			for w := r.outMask[p] &^ (*op.full | fresh); w != 0; w &= w - 1 {
+				v := bits.TrailingZeros64(w)
+				head := r.outv[p*r.nvc+v].stage.peek()
+				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 			}
 			if len(cands) == 0 { // staged work, no downstream credit
 				r.stallCycles[p]++
@@ -1480,7 +1452,7 @@ func (r *Router) reapOutPort(p int, now sim.Time) {
 			ov.stage.pop()
 			r.dropFlit(p)
 			if !ov.stage.empty() && ov.stage.peek().Enq >= now {
-				r.fresh[2*p+v>>6] |= 1 << (uint(v) & 63)
+				r.fresh[p] |= 1 << uint(v)
 			}
 		}
 		r.markOut(p, v)
@@ -1553,11 +1525,11 @@ func (r *Router) BlockedWorms() []Blocked {
 // cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
 	var wantInPorts, wantOutPorts portSet
-	wantTgt := make([]uint64, 2*len(r.outs))
+	wantTgt := make([]uint64, len(r.outs))
 	for p := range r.outs {
 		clear(wantTgt)
-		for v := 0; v < 128; v++ {
-			w, bit := 2*p+v>>6, uint64(1)<<(uint(v)&63)
+		for v := 0; v < sched.MaxVCs; v++ {
+			bit := uint64(1) << uint(v)
 			var wantIn, wantOut, wantFull, wantAct, wantReq, wantInFull bool
 			if v < r.nvc {
 				in, ov := r.inAt(p, v), r.outAt(p, v)
@@ -1570,7 +1542,7 @@ func (r *Router) CheckOccupancy() error {
 						r.cfg.ID, p, v)
 				}
 				if wantAct {
-					wantTgt[2*in.outPort+v>>6] |= bit
+					wantTgt[in.outPort] |= bit
 				}
 			}
 			if wantIn {
@@ -1592,18 +1564,16 @@ func (r *Router) CheckOccupancy() error {
 				{"input", "full", r.inFull, wantInFull},
 				{"output", "fresh-head", r.fresh, false},
 			} {
-				if got := c.mask[w]&bit != 0; got != c.want {
+				if got := c.mask[p]&bit != 0; got != c.want {
 					return fmt.Errorf("core: router %d %s VC %d/%d %s bit %v, VC state says %v",
 						r.cfg.ID, c.side, p, v, c.what, got, c.want)
 				}
 			}
 		}
 		for o := range r.outs {
-			for wi := 0; wi < 2; wi++ {
-				if got, want := r.tgt[2*(p*len(r.outs)+o)+wi], wantTgt[2*o+wi]; got != want {
-					return fmt.Errorf("core: router %d input port %d target word %d for output %d is %#x, VC state says %#x",
-						r.cfg.ID, p, wi, o, got, want)
-				}
+			if got, want := r.tgt[p*len(r.outs)+o], wantTgt[o]; got != want {
+				return fmt.Errorf("core: router %d input port %d target word for output %d is %#x, VC state says %#x",
+					r.cfg.ID, p, o, got, want)
 			}
 		}
 		op := &r.outs[p]

@@ -10,13 +10,13 @@ import (
 )
 
 // noneFull is the full mask of the test consumers with unlimited credit.
-var noneFull [2]uint64
+var noneFull uint64
 
 // devNull accepts every flit with unlimited credit and drops it, so router
 // benchmarks measure the pipeline, not a capture slice growing.
 type devNull struct{}
 
-func (devNull) Full() *[2]uint64      { return &noneFull }
+func (devNull) Full() *uint64         { return &noneFull }
 func (devNull) Accept(int, flit.Flit) {}
 
 func benchRouter(b *testing.B, cfg Config) *Router {
@@ -131,9 +131,9 @@ func BenchmarkRouterStepWide(b *testing.B) {
 type stuck struct{}
 
 // allFull is stuck's full mask: no VC has credit.
-var allFull = [2]uint64{^uint64(0), ^uint64(0)}
+var allFull = ^uint64(0)
 
-func (stuck) Full() *[2]uint64      { return &allFull }
+func (stuck) Full() *uint64         { return &allFull }
 func (stuck) Accept(int, flit.Flit) { panic("core: flit accepted without credit") }
 
 // blockedStepper makes port 1 of r a transit port with no downstream

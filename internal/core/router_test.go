@@ -14,11 +14,15 @@ const period = 80 * sim.Nanosecond
 // unlimited credit, and a test sets bits to withhold credit.
 type capture struct {
 	flits []flit.Flit
-	full  [2]uint64
+	full  uint64
 }
 
-func (c *capture) Full() *[2]uint64           { return &c.full }
+func (c *capture) Full() *uint64              { return &c.full }
 func (c *capture) Accept(vc int, f flit.Flit) { c.flits = append(c.flits, f) }
+
+// hasCredit reports whether input port p, VC v of r can accept a flit: its
+// bit of the port's full mask, InputFull, is clear.
+func hasCredit(r *Router, p, v int) bool { return *r.InputFull(p)&(1<<uint(v)) == 0 }
 
 // testConfig returns a 2-port, 2-VC router config routing on msg.Dst.
 func testConfig(policy sched.Kind) Config {
@@ -168,18 +172,18 @@ func TestCredits(t *testing.T) {
 	cfg.BufferDepth = 3
 	r, _ := build(t, cfg)
 	m := msg(1, 1, 0, 3, 100)
-	if !r.HasCredit(0, 0) {
+	if !hasCredit(r, 0, 0) {
 		t.Fatal("fresh router should have credit")
 	}
 	deliver(r, 0, 0, m, period)
-	if r.HasCredit(0, 0) {
+	if hasCredit(r, 0, 0) {
 		t.Fatal("full buffer should have no credit")
 	}
-	if !r.HasCredit(0, 1) || !r.HasCredit(1, 0) {
+	if !hasCredit(r, 0, 1) || !hasCredit(r, 1, 0) {
 		t.Fatal("other VCs/ports should be unaffected")
 	}
 	run(r, 0, 20)
-	if !r.HasCredit(0, 0) {
+	if !hasCredit(r, 0, 0) {
 		t.Fatal("credit not restored after drain")
 	}
 }
@@ -299,7 +303,7 @@ func TestTransitOutputVCSerializes(t *testing.T) {
 // captureSeq records flits in arrival order with unlimited credit.
 type captureSeq struct{ flits []flit.Flit }
 
-func (c *captureSeq) Full() *[2]uint64          { return &noneFull }
+func (c *captureSeq) Full() *uint64             { return &noneFull }
 func (c *captureSeq) Accept(_ int, f flit.Flit) { c.flits = append(c.flits, f) }
 
 func TestFullCrossbarParallelTraversal(t *testing.T) {
@@ -431,7 +435,7 @@ type vcCapture struct {
 	byVC map[int]int
 }
 
-func (c *vcCapture) Full() *[2]uint64 { return &noneFull }
+func (c *vcCapture) Full() *uint64 { return &noneFull }
 func (c *vcCapture) Accept(vc int, f flit.Flit) {
 	if c.byVC == nil {
 		c.byVC = map[int]int{}
@@ -461,7 +465,7 @@ func TestClassPartitionOnTransitLink(t *testing.T) {
 func TestDownstreamCreditBlocksTransmit(t *testing.T) {
 	cfg := testConfig(sched.FIFO)
 	r, _ := build(t, cfg)
-	down := &capture{full: [2]uint64{^uint64(0), ^uint64(0)}}
+	down := &capture{full: ^uint64(0)}
 	r.Connect(1, down, true)
 	m := msg(1, 1, 0, 3, 100)
 	deliver(r, 0, 0, m, period)
@@ -469,7 +473,7 @@ func TestDownstreamCreditBlocksTransmit(t *testing.T) {
 	if got := r.Stats().FlitsTransmitted; got != 0 {
 		t.Fatalf("transmitted %d flits without downstream credit", got)
 	}
-	down.full[0] &^= 1 // credit on VC 0, the message's DstVC, only
+	down.full &^= 1 // credit on VC 0, the message's DstVC, only
 	run(r, 30*period, 30)
 	if got := r.Stats().FlitsTransmitted; got != 3 {
 		t.Fatalf("transmitted %d after credit restored, want 3", got)
@@ -564,7 +568,7 @@ func TestLongMessageLargerThanBuffer(t *testing.T) {
 	for cycle := 1; cycle < 200 && sent < m.Flits; cycle++ {
 		now := sim.Time(cycle) * period
 		r.Step(now)
-		if r.HasCredit(0, 0) {
+		if hasCredit(r, 0, 0) {
 			r.Deliver(0, 0, flit.Flit{Msg: m, Seq: sent, Enq: now + period})
 			sent++
 		}

@@ -118,7 +118,7 @@ func TestSetRTVCsBounds(t *testing.T) {
 
 func TestDeadEnd(t *testing.T) {
 	var d network.DeadEnd
-	if full := d.Full(); full[0] != ^uint64(0) || full[1] != ^uint64(0) {
+	if full := d.Full(); *full != ^uint64(0) {
 		t.Fatalf("dead end's full mask %#x leaves a VC with credit", *full)
 	}
 	defer func() {

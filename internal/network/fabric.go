@@ -135,7 +135,7 @@ type routerInput struct {
 	port int
 }
 
-func (ri *routerInput) Full() *[2]uint64           { return ri.r.InputFull(ri.port) }
+func (ri *routerInput) Full() *uint64              { return ri.r.InputFull(ri.port) }
 func (ri *routerInput) Accept(vc int, f flit.Flit) { ri.r.Deliver(ri.port, vc, f) }
 
 // SetTracer attaches the observability sink: NI arbitrations, injections,

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math/bits"
 
 	"mediaworm/internal/core"
@@ -35,10 +34,6 @@ func (q *msgQueue) pop() *flit.Message {
 	return m
 }
 
-// MaxNIVCs is the most virtual channels per physical channel an NI
-// supports: its backlog of non-empty injection queues is one 64-bit word.
-const MaxNIVCs = 64
-
 // niVC is one virtual channel's injection queue at a network interface.
 type niVC struct {
 	q    msgQueue
@@ -61,12 +56,12 @@ type NI struct {
 	// Node is the endpoint identifier this NI injects for.
 	Node int //mw:snapcover — endpoint identity, set by newNI
 	vcs  []niVC
-	// backlog has bit v set while VC v's injection queue is non-empty
-	// (VCs ≤ 64), so a step visits only backlogged VCs.
+	// backlog has bit v set while VC v's injection queue is non-empty, so a
+	// step visits only backlogged VCs.
 	backlog uint64 //mw:snapcover — derived from the restored queues
 	// full is the router's input full mask for the NI's port: a step offers
 	// only the backlogged VCs whose bit is clear, the ones with credit.
-	full *[2]uint64 //mw:snapcover — points into the router's masks, which a restore rebuilds
+	full *uint64 //mw:snapcover — points into the router's masks, which a restore rebuilds
 	arb  sched.Arbiter
 	// cands is the arbitration scratch buffer, reused every cycle so the
 	// hot path does not allocate.
@@ -114,9 +109,6 @@ type NI struct {
 
 func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	cfg := r.Config()
-	if cfg.VCs > MaxNIVCs {
-		panic(fmt.Sprintf("network: NI supports at most %d VCs per physical channel", MaxNIVCs))
-	}
 	ni := &carve(&f.epa.nis, 1)[0]
 	ni.fab, ni.router, ni.port, ni.Node = f, r, port, node
 	ni.full = r.InputFull(port)
@@ -284,7 +276,7 @@ func (n *NI) step(now sim.Time) {
 		}
 	}
 	n.cands = n.cands[:0]
-	for w := n.backlog &^ n.full[0]; w != 0; w &= w - 1 {
+	for w := n.backlog &^ *n.full; w != 0; w &= w - 1 {
 		v := bits.TrailingZeros64(w)
 		nv := &n.vcs[v]
 		head := nv.q.peek()

@@ -42,11 +42,11 @@ func frameKey(stream, frame int) uint64 {
 
 // noneFull is the full mask of every sink: an endpoint always accepts.
 // Nothing writes it.
-var noneFull [2]uint64
+var noneFull uint64
 
 // Full implements core.Consumer: the endpoint always accepts, so every
 // sink shares one all-zero mask.
-func (s *Sink) Full() *[2]uint64 { return &noneFull }
+func (s *Sink) Full() *uint64 { return &noneFull }
 
 // Accept implements core.Consumer.
 func (s *Sink) Accept(vc int, f flit.Flit) {
@@ -121,10 +121,10 @@ type DeadEnd struct{}
 
 // allFull is the full mask of every dead end: no VC ever has credit.
 // Nothing writes it.
-var allFull = [2]uint64{^uint64(0), ^uint64(0)}
+var allFull = ^uint64(0)
 
 // Full implements core.Consumer: every VC is full.
-func (DeadEnd) Full() *[2]uint64 { return &allFull }
+func (DeadEnd) Full() *uint64 { return &allFull }
 
 // Accept implements core.Consumer.
 func (DeadEnd) Accept(int, flit.Flit) { panic("network: flit on an unused port") }

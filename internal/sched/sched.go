@@ -148,19 +148,19 @@ type Arbiter interface {
 	Kind() Kind
 }
 
-// maxVCID bounds the VC identifier space an arbiter accepts (the per-VC
-// presence bitmaps are two 64-bit words). core caps VCs at 127 and the NI at
-// 64, so every contention point fits.
-const maxVCID = 128
+// MaxVCs is the most virtual channels a contention point multiplexes: a
+// set of VCs is one 64-bit word, in WF²Q+'s presence map here and in every
+// per-port mask of the router and NI. core.Config validates VCs against
+// it, and topology.Build refuses a fabric above it before allocating.
+const MaxVCs = 64
 
 // Params configures the weighted disciplines (WRR, DRR, WF²Q+, SP+WRR); the
 // classic three ignore it. The zero value means "every VC has weight 1 and
 // tier 0", under which the weighted kinds degenerate to fair round-robin
 // shapes — still valid arbiters, just without differentiation.
 type Params struct {
-	// VCs presizes the per-VC state arrays so Pick never allocates. 0 is
-	// allowed: state then grows lazily the first time a VC id is seen (an
-	// amortized one-time allocation, annotated on the hot path).
+	// VCs sizes the per-VC state once, at construction, so Pick never
+	// allocates; candidates' VC ids must lie below it. 0 means MaxVCs.
 	VCs int
 	// Weights[v] is VC v's scheduling weight. Out-of-range or non-positive
 	// entries count as 1.
@@ -196,10 +196,17 @@ func (p *Params) turn(v int) int {
 }
 
 // NewArbiter returns a fresh arbiter of the given kind, parameterized with
-// per-VC weights and tiers. Use one instance per contention point.
-// RoundRobin, WRR and DRR share one rotation; only their turn lengths
-// differ, so each is handed just the Params its turns read.
+// per-VC weights and tiers and sized for p.VCs VCs, at most MaxVCs. Use one
+// instance per contention point. RoundRobin, WRR and DRR share one
+// rotation; only their turn lengths differ, so each is handed just the
+// Params its turns read.
 func NewArbiter(k Kind, p Params) Arbiter {
+	if p.VCs < 0 || p.VCs > MaxVCs {
+		panic(fmt.Sprintf("sched: %d VCs, outside [0, %d]", p.VCs, MaxVCs))
+	}
+	if p.VCs == 0 {
+		p.VCs = MaxVCs
+	}
 	switch k {
 	case FIFO:
 		return &fifoArbiter{}

@@ -27,8 +27,7 @@ func EncodeArbiter(w *snapshot.Writer, a Arbiter) error {
 	case *wf2qArbiter:
 		w.U8(uint8(WF2Q))
 		w.F64(ar.v)
-		w.U64(ar.active[0])
-		w.U64(ar.active[1])
+		w.U64(ar.active)
 		w.Int(len(ar.tags))
 		for i := range ar.tags {
 			w.F64(ar.tags[i].s)
@@ -57,7 +56,8 @@ func restoreWRRState(r *snapshot.Reader, s *wrrState) {
 }
 
 // RestoreArbiter overwrites a's state from r, verifying the recorded kind
-// matches the live arbiter.
+// matches the live arbiter and each per-VC or per-tier record's length the
+// length the arbiter was built with.
 func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 	kind := Kind(r.U8())
 	if err := r.Err(); err != nil {
@@ -76,23 +76,18 @@ func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 		restoreWRRState(r, &ar.s)
 	case *wf2qArbiter:
 		ar.v = r.F64()
-		ar.active[0] = r.U64()
-		ar.active[1] = r.U64()
-		n := r.Int()
-		if err := checkStateLen(r, "wf2q-tags", n); err != nil {
+		ar.active = r.U64()
+		if err := checkStateLen(r, "wf2q-tags", len(ar.tags)); err != nil {
 			return err
 		}
-		ar.sizeTags(n)
 		for i := range ar.tags {
 			ar.tags[i].s = r.F64()
 			ar.tags[i].f = r.F64()
 		}
 	case *tieredArbiter:
-		n := r.Int()
-		if err := checkStateLen(r, "spwrr-tiers", n); err != nil {
+		if err := checkStateLen(r, "spwrr-tiers", len(ar.tiers)); err != nil {
 			return err
 		}
-		ar.tiers = resize(ar.tiers, n)
 		for i := range ar.tiers {
 			restoreWRRState(r, &ar.tiers[i])
 		}
@@ -102,28 +97,20 @@ func RestoreArbiter(r *snapshot.Reader, a Arbiter) error {
 	return r.Err()
 }
 
-// checkStateLen rejects corrupt or absurd per-VC state lengths before they
-// drive an allocation.
-func checkStateLen(r *snapshot.Reader, what string, n int) error {
+// checkStateLen reads a record's length and rejects one other than want,
+// the length the live arbiter was built with.
+func checkStateLen(r *snapshot.Reader, what string, want int) error {
+	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n < 0 || n > maxVCID {
+	if n != want {
 		return &snapshot.InvariantError{
 			Invariant: "arbiter-state-len",
-			Detail:    fmt.Sprintf("%s length %d outside [0, %d]", what, n, maxVCID),
+			Detail:    fmt.Sprintf("%s length %d, contention point has %d", what, n, want),
 		}
 	}
 	return nil
-}
-
-// resize returns s with exactly n elements, reusing the backing array when
-// it is already large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
 // EncodeVClock writes the virtual-clock register.

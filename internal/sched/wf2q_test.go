@@ -17,30 +17,18 @@ type twoPassWF2Q struct {
 	p      Params
 	v      float64
 	s, f   []float64
-	active [2]uint64
-}
-
-func (a *twoPassWF2Q) ensure(v int) {
-	if v < len(a.s) {
-		return
-	}
-	s := make([]float64, v+1)
-	f := make([]float64, v+1)
-	copy(s, a.s)
-	copy(f, a.f)
-	a.s, a.f = s, f
+	active uint64
 }
 
 func (a *twoPassWF2Q) Pick(cands []Candidate) int {
-	var now [2]uint64
+	var now uint64
 	minS := math.Inf(1)
 	wsum := 0.0
 	for _, c := range cands {
 		v := c.VC
-		a.ensure(v)
-		word, bit := v>>6, uint64(1)<<(uint(v)&63)
-		now[word] |= bit
-		if a.active[word]&bit == 0 {
+		bit := uint64(1) << uint(v)
+		now |= bit
+		if a.active&bit == 0 {
 			s := a.v
 			if a.f[v] > s {
 				s = a.f[v]
@@ -86,12 +74,6 @@ func sameTags(t *testing.T, got *wf2qArbiter, want *twoPassWF2Q) {
 		t.Fatalf("V %v active %#x, want V %v active %#x", got.v, got.active, want.v, want.active)
 	}
 	for v := range want.s {
-		if v >= len(got.tags) {
-			if want.s[v] != 0 || want.f[v] != 0 {
-				t.Fatalf("VC %d: no tag record, want S %v F %v", v, want.s[v], want.f[v])
-			}
-			continue
-		}
 		g := got.tags[v]
 		if math.Float64bits(g.s) != math.Float64bits(want.s[v]) || math.Float64bits(g.f) != math.Float64bits(want.f[v]) {
 			t.Fatalf("VC %d: S %v F %v, want S %v F %v", v, g.s, g.f, want.s[v], want.f[v])
@@ -128,9 +110,9 @@ func roundTrip(t *testing.T, a *wf2qArbiter) *wf2qArbiter {
 // TestWF2QOnePassMatchesTwoPass holds the one-pass Pick to the two-pass
 // reference over random candidate sets: unordered, tied (equal weights
 // leave many finish tags equal), re-arriving as VCs drop out of the
-// backlog and return, with weights 1–8, presized or grown lazily, and
-// across an encode/restore halfway through. Every grant, the virtual time
-// and every tag must agree to the bit.
+// backlog and return, with weights 1–8, sized for the VCs in use or for
+// MaxVCs, and across an encode/restore halfway through. Every grant, the
+// virtual time and every tag must agree to the bit.
 func TestWF2QOnePassMatchesTwoPass(t *testing.T) {
 	src := rng.New(22)
 	for trial := 0; trial < 300; trial++ {
@@ -144,9 +126,10 @@ func TestWF2QOnePassMatchesTwoPass(t *testing.T) {
 			}
 		}
 		if trial%2 == 0 {
-			p.VCs = n // presized; odd trials grow the records lazily
+			p.VCs = n // odd trials size the records for MaxVCs
 		}
-		got, want := newWF2Q(p), &twoPassWF2Q{p: p}
+		got := NewArbiter(WF2Q, p).(*wf2qArbiter)
+		want := &twoPassWF2Q{p: p, s: make([]float64, n), f: make([]float64, n)}
 		cands := make([]Candidate, 0, n)
 		for pick := 0; pick < 200; pick++ {
 			if pick == 100 {

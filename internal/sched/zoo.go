@@ -8,9 +8,8 @@ import "math"
 // against the full contract battery. One round-robin rotation serves
 // RoundRobin, WRR and DRR alike.
 //
-// Every Pick is a steady-state hot path: per-VC state is presized from
-// Params.VCs at construction and only grows lazily (an amortized one-time
-// allocation) when a VC id beyond the presized range first appears.
+// Every Pick is a steady-state hot path: per-VC state is sized once, from
+// Params.VCs, at construction.
 
 // wrrState is one weighted-round-robin rotation: the VC currently holding
 // the grant and the flits left in its turn. The rotation arbiter uses one
@@ -95,7 +94,7 @@ type wf2qArbiter struct {
 	p      Params
 	v      float64   // system virtual time
 	tags   []wf2qTag // per-VC tag record
-	active [2]uint64 // presence bitmap of VCs backlogged at the last Pick
+	active uint64    // presence map of VCs backlogged at the last Pick
 }
 
 // wf2qTag is one VC's tag record: its start and finish tags, and its
@@ -105,42 +104,24 @@ type wf2qTag struct {
 	w, inv float64
 }
 
+// newWF2Q builds the tag records for p.VCs VCs, each with its weight and
+// the weight's reciprocal from Params and its tags at zero.
 func newWF2Q(p Params) *wf2qArbiter {
-	a := &wf2qArbiter{p: p}
-	a.sizeTags(min(p.VCs, maxVCID))
+	a := &wf2qArbiter{p: p, tags: make([]wf2qTag, p.VCs)}
+	for v := range a.tags {
+		w := float64(p.weight(v))
+		a.tags[v].w, a.tags[v].inv = w, 1/w
+	}
 	return a
 }
 
 func (*wf2qArbiter) Kind() Kind { return WF2Q }
 
-// sizeTags rebuilds the tag records for n VCs: the tags of the VCs both
-// sizes cover are kept, the others start at zero, and every record gets
-// its weight and reciprocal from Params.
-func (a *wf2qArbiter) sizeTags(n int) {
-	tags := make([]wf2qTag, n) //mw:hotpath — lazy one-time sizing to the observed VC id space; never reallocated after
-	copy(tags, a.tags)
-	for v := range tags {
-		w := float64(a.p.weight(v))
-		tags[v].w, tags[v].inv = w, 1/w
-	}
-	a.tags = tags
-}
-
-// grow extends the tag records to cover VC id v, which must be < maxVCID
-// (the presence bitmap is two words). The records never cover more than
-// maxVCID VCs, so Pick calls it for every VC id they do not cover.
-func (a *wf2qArbiter) grow(v int) {
-	if v >= maxVCID {
-		panic("sched: wf2q VC id exceeds maxVCID")
-	}
-	a.sizeTags(v + 1)
-}
-
 // arrive refreshes VC v's presence: a VC missing from the last Pick's
 // backlog restarts at the later of the virtual time and its previous
 // finish (the WF²Q+ re-arrival rule).
 func (a *wf2qArbiter) arrive(t *wf2qTag, v int) {
-	if a.active[v>>6]&(1<<(uint(v)&63)) == 0 {
+	if a.active&(1<<uint(v)) == 0 {
 		s := a.v
 		if t.f > s {
 			s = t.f
@@ -165,34 +146,27 @@ func (a *wf2qArbiter) arrive(t *wf2qTag, v int) {
 func (a *wf2qArbiter) Pick(cands []Candidate) int {
 	if len(cands) == 1 {
 		v := cands[0].VC
-		if v >= len(a.tags) {
-			a.grow(v)
-		}
 		t := &a.tags[v]
 		a.arrive(t, v)
-		a.active = [2]uint64{}
-		a.active[v>>6] = 1 << (uint(v) & 63)
+		a.active = 1 << uint(v)
 		if a.v < t.s {
 			a.v = t.s
 		}
 		t.s = t.f
 		t.f += t.inv
-		a.v += t.inv // 1/ΣW over the one candidate, the reciprocal sizeTags computed
+		a.v += t.inv // 1/ΣW over the one candidate, the reciprocal newWF2Q computed
 		return 0
 	}
-	var now [2]uint64
+	var now uint64
 	minS, wsum := math.Inf(1), 0.0
 	// The running winners: index, finish tag and VC id.
 	elig, eligF, eligVC := -1, 0.0, 0
 	first, firstF, firstVC := -1, 0.0, 0
 	for i, c := range cands {
 		v := c.VC
-		if v >= len(a.tags) {
-			a.grow(v)
-		}
 		t := &a.tags[v]
 		a.arrive(t, v)
-		now[v>>6] |= 1 << (uint(v) & 63)
+		now |= 1 << uint(v)
 		wsum += t.w
 		s, f := t.s, t.f
 		if s <= a.v && (elig < 0 || f < eligF || (f == eligF && v < eligVC)) {
@@ -242,19 +216,6 @@ func newSPWRR(p Params) *tieredArbiter {
 
 func (*tieredArbiter) Kind() Kind { return SPWRR }
 
-// ensure grows the per-tier rotation state to cover tier t.
-func (a *tieredArbiter) ensure(t int) {
-	if t < len(a.tiers) {
-		return
-	}
-	grown := make([]wrrState, t+1) //mw:hotpath — lazy one-time sizing to the observed tier space; never reallocated after
-	copy(grown, a.tiers)
-	for i := len(a.tiers); i < len(grown); i++ {
-		grown[i].cur = -1
-	}
-	a.tiers = grown
-}
-
 // Pick finds the highest-priority (lowest-numbered) tier with a candidate
 // and runs that tier's WRR rotation over its members.
 //
@@ -266,6 +227,5 @@ func (a *tieredArbiter) Pick(cands []Candidate) int {
 			top = t
 		}
 	}
-	a.ensure(top)
 	return a.tiers[top].pick(cands, &a.p, top)
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -304,7 +305,7 @@ func TestSPWRRTierRotationsIndependent(t *testing.T) {
 	}
 }
 
-// TestZooPickZeroAlloc proves every presized Pick path allocates nothing in
+// TestZooPickZeroAlloc proves every Pick path allocates nothing in
 // steady state — the static hotpath gate's dynamic counterpart.
 func TestZooPickZeroAlloc(t *testing.T) {
 	for _, k := range Kinds() {
@@ -312,7 +313,7 @@ func TestZooPickZeroAlloc(t *testing.T) {
 		a := NewArbiter(k, p)
 		cands := backlogged(0, 1, 2, 3)
 		for i := 0; i < 8; i++ {
-			a.Pick(cands) // warm any lazy sizing
+			a.Pick(cands) // reach the rotations' steady state
 		}
 		if n := testing.AllocsPerRun(200, func() { a.Pick(cands) }); n != 0 {
 			t.Errorf("%v: Pick allocates %.1f times per run, want 0", k, n)
@@ -374,6 +375,37 @@ func TestRestoreArbiterKindMismatch(t *testing.T) {
 	}
 	if err := RestoreArbiter(r, NewArbiter(DRR, Params{})); err == nil {
 		t.Fatal("restoring WRR state into a DRR arbiter must fail")
+	}
+}
+
+// TestRestoreArbiterRefusesOtherLength pins that a WF²Q+ or SP+WRR record
+// restores only into an arbiter built with as many VCs or tiers: the
+// records are sized once, at construction, and a restore never resizes
+// them.
+func TestRestoreArbiterRefusesOtherLength(t *testing.T) {
+	for _, tc := range []struct {
+		k        Kind
+		src, dst Params
+	}{
+		{WF2Q, Params{VCs: 4}, Params{VCs: 8}},
+		{SPWRR, Params{VCs: 2, Tiers: []int{0, 1}}, Params{VCs: 2}},
+	} {
+		w := snapshot.NewWriter()
+		if err := EncodeArbiter(w, NewArbiter(tc.k, tc.src)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := w.Flush(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := snapshot.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inv *snapshot.InvariantError
+		if err := RestoreArbiter(r, NewArbiter(tc.k, tc.dst)); !errors.As(err, &inv) || inv.Invariant != "arbiter-state-len" {
+			t.Errorf("%v: restore into %+v: %v, want the arbiter-state-len invariant", tc.k, tc.dst, err)
+		}
 	}
 }
 

@@ -45,8 +45,9 @@ import (
 // v5: sink sections drop the flit count, which the endpoint port's VC
 // blocks already hold as their Transmitted counts. v6: router sections
 // drop each output port's list of waiting headers; a waiting header's
-// request instant follows its sequence number in its input-VC record.
-const Version uint16 = 6
+// request instant follows its sequence number in its input-VC record. v7:
+// a WF²Q+ arbiter payload carries one presence word, not two.
+const Version uint16 = 7
 
 // magic identifies a MediaWorm snapshot. The trailing \x00\x01 keeps text
 // tools from mistaking the file for ASCII.

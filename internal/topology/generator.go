@@ -18,6 +18,7 @@ import (
 	"mediaworm/internal/core"
 	"mediaworm/internal/flit"
 	"mediaworm/internal/network"
+	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
 )
 
@@ -745,9 +746,9 @@ func classPartitions(cfg core.Config) []int {
 // endpoint arena, and every port the layout leaves unwired is terminated
 // with a network.DeadEnd so a route there fails loudly.
 func Build(engine *sim.Engine, spec Spec, base core.Config) (*Net, error) {
-	if base.VCs > network.MaxNIVCs {
-		return nil, fmt.Errorf("topology: %d VCs per physical channel, but an NI supports at most %d",
-			base.VCs, network.MaxNIVCs)
+	if base.VCs > sched.MaxVCs {
+		return nil, fmt.Errorf("topology: %d VCs per physical channel, but a router supports at most %d",
+			base.VCs, sched.MaxVCs)
 	}
 	l, err := spec.Layout(base.Ports)
 	if err != nil {
