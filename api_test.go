@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mediaworm/internal/core"
 	"mediaworm/internal/sched"
 )
 
@@ -59,25 +60,50 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestNewSimRefusesMoreVCsThanARouterSupports pins the router's VC limit
-// as an error from the fabric build, not a panic: the limit itself builds,
-// one more VC is refused. The limit is the wormhole router's, not the
-// Config's: the PCS switch keeps its own VC range, so RunPCS still runs,
-// and establishes connections, at one more VC than the limit.
-func TestNewSimRefusesMoreVCsThanARouterSupports(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VCs = sched.MaxVCs
-	if _, err := NewSim(cfg); err != nil {
-		t.Fatalf("NewSim with %d VCs: %v", cfg.VCs, err)
-	}
-	cfg.VCs++
-	if _, err := NewSim(cfg); err == nil {
-		t.Fatalf("NewSim accepted %d VCs", cfg.VCs)
+// TestNewSimRefusesRoutersAboveTheLimits pins a router's two limits,
+// core.MaxPorts ports and sched.MaxVCs VCs, as errors from the fabric
+// build, not panics: a single switch at each limit builds, and one more
+// port, a Clos whose spine needs one more port, and one more VC are refused
+// with the router-limit message. The limits are the wormhole router's, not
+// the Config's: the PCS switch keeps its own port and VC ranges, so RunPCS
+// still runs, and establishes connections, one above both limits.
+func TestNewSimRefusesRoutersAboveTheLimits(t *testing.T) {
+	for _, c := range []struct {
+		ports, vcs int
+		topology   Topology
+		err        string // "" = NewSim builds
+	}{
+		{ports: core.MaxPorts},
+		{vcs: sched.MaxVCs},
+		{ports: core.MaxPorts + 1,
+			err: "topology: full1c65 needs 65-port routers, but a router supports at most 64"},
+		{topology: "clos65x1",
+			err: "topology: clos65x1 needs 65-port routers, but a router supports at most 64"},
+		{vcs: sched.MaxVCs + 1,
+			err: "topology: 65 VCs per physical channel, but a router supports at most 64"},
+	} {
+		cfg := DefaultConfig()
+		if c.ports != 0 {
+			cfg.Ports = c.ports
+		}
+		if c.vcs != 0 {
+			cfg.VCs = c.vcs
+		}
+		if c.topology != "" {
+			cfg.Topology = c.topology
+		}
+		var got string
+		if _, err := NewSim(cfg); err != nil {
+			got = err.Error()
+		}
+		if got != c.err {
+			t.Fatalf("NewSim with %d ports, %d VCs on %s: error %q, want %q", cfg.Ports, cfg.VCs, cfg.Topology, got, c.err)
+		}
 	}
 	pcs := pcsBasicsCfg()
-	pcs.VCs = sched.MaxVCs + 1
+	pcs.Ports, pcs.VCs = core.MaxPorts+1, sched.MaxVCs+1
 	if res, err := RunPCS(pcs); err != nil || res.Established == 0 {
-		t.Fatalf("RunPCS with %d VCs: %+v, %v", pcs.VCs, res, err)
+		t.Fatalf("RunPCS with %d ports, %d VCs: %+v, %v", pcs.Ports, pcs.VCs, res, err)
 	}
 }
 

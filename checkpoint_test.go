@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mediaworm/internal/core"
 	"mediaworm/internal/snapshot"
 )
 
@@ -383,15 +384,18 @@ func TestCheckpointAfterFinishRefused(t *testing.T) {
 // instants through the golden property: interrupting never changes the
 // result. knobs picks the discipline: knobs%3 one of Virtual Clock, FIFO
 // and round-robin, unless bits 3–5, taken mod 5, pick WRR, DRR at quantum
-// 2, WF²Q+ or SP+WRR at weights 3:1; bit 2 picks CBR.
+// 2, WF²Q+ or SP+WRR at weights 3:1; bit 2 picks CBR. ports is the switch's
+// port count, folded into [2, core.MaxPorts] when outside it.
 func FuzzCheckpointRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(70), uint8(80), uint8(0), uint16(50))
-	f.Add(uint64(7), uint8(40), uint8(100), uint8(1), uint16(0))
-	f.Add(uint64(42), uint8(90), uint8(50), uint8(2), uint16(100))
-	f.Add(uint64(3), uint8(70), uint8(60), uint8(3<<3), uint16(500)) // WF²Q+
-	f.Add(uint64(5), uint8(80), uint8(60), uint8(4<<3), uint16(700)) // SP+WRR
-	f.Fuzz(func(t *testing.T, seed uint64, loadPct, rtPct, knobs uint8, atPermille uint16) {
+	f.Add(uint64(1), uint8(70), uint8(80), uint8(0), uint16(50), uint8(8))
+	f.Add(uint64(7), uint8(40), uint8(100), uint8(1), uint16(0), uint8(8))
+	f.Add(uint64(42), uint8(90), uint8(50), uint8(2), uint16(100), uint8(8))
+	f.Add(uint64(3), uint8(70), uint8(60), uint8(3<<3), uint16(500), uint8(8)) // WF²Q+
+	f.Add(uint64(5), uint8(80), uint8(60), uint8(4<<3), uint16(700), uint8(8)) // SP+WRR
+	f.Add(uint64(9), uint8(10), uint8(80), uint8(0), uint16(400), uint8(64))   // the widest switch
+	f.Fuzz(func(t *testing.T, seed uint64, loadPct, rtPct, knobs uint8, atPermille uint16, ports uint8) {
 		cfg := DefaultConfig().Scale(0.1)
+		cfg.Ports = 2 + int(ports-2)%(core.MaxPorts-1)
 		cfg.Measure = 4 * cfg.FrameInterval
 		cfg.Warmup = cfg.FrameInterval
 		cfg.Seed = seed

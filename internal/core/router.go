@@ -60,6 +60,11 @@ const (
 	BodyPipelineCycles   = 3
 )
 
+// MaxPorts is the most ports a router has: a set of a router's ports is
+// one word. Config validates Ports against it, and topology.Build refuses
+// a fabric above it before allocating.
+const MaxPorts = 64
+
 // Consumer receives flits transmitted out of a router output port. The
 // network layer implements it for endpoint sinks and for the input ports of
 // downstream routers.
@@ -146,7 +151,7 @@ type Config struct {
 
 func (c *Config) validate() error {
 	switch {
-	case c.Ports <= 0 || c.Ports > 127:
+	case c.Ports <= 0 || c.Ports > MaxPorts:
 		return fmt.Errorf("core: Ports = %d", c.Ports)
 	case c.VCs <= 0 || c.VCs > sched.MaxVCs:
 		return fmt.Errorf("core: VCs = %d", c.VCs)
@@ -323,14 +328,14 @@ type Router struct {
 	// inPorts and outPorts summarise inMask and outMask one bit per port: a
 	// port's bit is set while any of its input (output) VCs has its
 	// occupancy bit. Stages 2, 4 and 5 walk only the ports set here and
-	// idle reads four words; markIn and markOut keep them in step.
-	inPorts, outPorts portSet //mw:snapcover — derived from the VC tables; RestoreState rebuilds them
+	// idle reads two words; markIn and markOut keep them in step.
+	inPorts, outPorts uint64 //mw:snapcover — derived from the VC tables; RestoreState rebuilds them
 	// retry flags the output ports whose waiting headers the next stage-3
 	// pass serves. allocOutVC reads only the port's busy VCs, the VC
 	// partition and the message, so a header it refused stays refused
 	// until a new header waits, an output VC is released or the partition
 	// moves; each of those flags the port, and the pass clears the flags.
-	retry portSet //mw:snapcover — derived; RestoreState flags every port
+	retry uint64 //mw:snapcover — derived; RestoreState flags every port
 	// actMask and reqMask, laid out like inMask, mark the input VCs whose
 	// phase is vcActive and vcRequested. Stage 2 visits the idle VCs
 	// holding a header, inMask &^ (actMask|reqMask), stage 3 reads each
@@ -373,9 +378,9 @@ type Router struct {
 	// only where their set has the port, so they are never reset.
 	waitBuf    []int32           //mw:snapcover — scratch for waiting (flat input-VC indexes, at most Ports·VCs)
 	cands      []sched.Candidate //mw:snapcover — per-cycle scratch
-	claimed    portSet           //mw:snapcover — per-cycle scratch (crossbar outputs claimed this cycle)
-	picked     portSet           //mw:snapcover — per-cycle scratch (input ports matched this cycle)
-	blocked    portSet           //mw:snapcover — per-cycle scratch (input ports with a VC in claimBlk)
+	claimed    uint64            //mw:snapcover — per-cycle scratch (crossbar outputs claimed this cycle)
+	picked     uint64            //mw:snapcover — per-cycle scratch (input ports matched this cycle)
+	blocked    uint64            //mw:snapcover — per-cycle scratch (input ports with a VC in claimBlk)
 	claimedBy  []int8            //mw:snapcover — per-cycle scratch (the input port claiming each output in claimed)
 	pickedVC   []int8            //mw:snapcover — per-cycle scratch (the VC each input port in picked forwards)
 	claimBlk   []uint64          //mw:snapcover — per-cycle scratch (input VCs the first allocator pass found blocked by a claimed output, laid out like inMask, valid for the ports in blocked)
@@ -384,7 +389,7 @@ type Router struct {
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, valid where fed has its bit)
 	feederCand []sched.Candidate //mw:snapcover — per-cycle scratch
 	fed        []uint64          //mw:snapcover — per-cycle scratch (output VCs with a feeder, laid out like outMask; zero between cycles)
-	fedPorts   portSet           //mw:snapcover — per-cycle scratch (output ports with a bit in fed)
+	fedPorts   uint64            //mw:snapcover — per-cycle scratch (output ports with a bit in fed)
 	trc        *obs.Tracer       //mw:snapcover — observability sink (nil = disabled); tracing refuses checkpoints
 }
 
@@ -575,7 +580,10 @@ func (r *Router) markIn(in *inVC) {
 		r.actMask[p] |= bit
 		r.tgt[t] |= bit
 	}
-	r.inPorts.set(p, r.inMask[p] != 0)
+	r.inPorts &^= 1 << uint(p)
+	if r.inMask[p] != 0 {
+		r.inPorts |= 1 << uint(p)
+	}
 }
 
 // releaseOut frees output VC (p, v) from the message holding it and flags
@@ -583,7 +591,7 @@ func (r *Router) markIn(in *inVC) {
 // granted the VC. It is the only place an output VC is released.
 func (r *Router) releaseOut(p, v int) {
 	r.outv[p*r.nvc+v].busy = nil
-	r.retry.add(p)
+	r.retry |= 1 << uint(p)
 }
 
 // markOut recomputes output VC (p, v)'s occupancy and stage-full bits, and
@@ -599,14 +607,17 @@ func (r *Router) markOut(p, v int) {
 	if st.space() == 0 {
 		r.fullMask[p] |= bit
 	}
-	r.outPorts.set(p, r.outMask[p] != 0)
+	r.outPorts &^= 1 << uint(p)
+	if r.outMask[p] != 0 {
+		r.outPorts |= 1 << uint(p)
+	}
 }
 
 // idle reports whether a Step would find nothing to do: no occupied input
 // or output VC. A waiting header's VC is occupied, so the summaries cover
 // it.
 func (r *Router) idle() bool {
-	return r.inPorts[0]|r.inPorts[1]|r.outPorts[0]|r.outPorts[1] == 0
+	return r.inPorts|r.outPorts == 0
 }
 
 // SetPortStalled injects or lifts a transient stall on output port p: a
@@ -622,22 +633,20 @@ func (r *Router) SetPortStalled(p int, stalled bool) { r.stalled[p] = stalled }
 // The result is scratch that the next call overwrites.
 func (r *Router) waiting(p int) []int32 {
 	r.waitBuf = r.waitBuf[:0]
-	for qi, qw := range r.inPorts {
-		for ; qw != 0; qw &= qw - 1 {
-			q := qi<<6 | bits.TrailingZeros64(qw)
-			for w := r.reqMask[q]; w != 0; w &= w - 1 {
-				i := q*r.nvc + bits.TrailingZeros64(w)
-				in := &r.inv[i]
-				if in.outPort != p {
-					continue
-				}
-				r.waitBuf = append(r.waitBuf, int32(i))
-				j := len(r.waitBuf) - 1
-				for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
-					r.waitBuf[j] = r.waitBuf[j-1]
-				}
-				r.waitBuf[j] = int32(i)
+	for qw := r.inPorts; qw != 0; qw &= qw - 1 {
+		q := bits.TrailingZeros64(qw)
+		for w := r.reqMask[q]; w != 0; w &= w - 1 {
+			i := q*r.nvc + bits.TrailingZeros64(w)
+			in := &r.inv[i]
+			if in.outPort != p {
+				continue
 			}
+			r.waitBuf = append(r.waitBuf, int32(i))
+			j := len(r.waitBuf) - 1
+			for ; j > 0 && r.inv[r.waitBuf[j-1]].reqSeq > in.reqSeq; j-- {
+				r.waitBuf[j] = r.waitBuf[j-1]
+			}
+			r.waitBuf[j] = int32(i)
 		}
 	}
 	return r.waitBuf
@@ -852,67 +861,64 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// reap stays interleaved with routing in VC order: it releases busy
 	// VCs and retires waiting headers that portLoad counts for later VCs.
 	// Only ports with an occupied input VC are walked; the stage clears
-	// summary bits but never sets one, so each word is read once. killed
+	// summary bits but never sets one, so the summary is read once. killed
 	// mirrors the kill flag, which only this stage's own kill can raise.
 	killed := *r.killed
-	for pi, pw := range r.inPorts {
-		for ; pw != 0; pw &= pw - 1 {
-			p := pi<<6 | bits.TrailingZeros64(pw)
-			w := r.inMask[p]
-			if !killed {
-				w &^= r.actMask[p] | r.reqMask[p]
+	for pw := r.inPorts; pw != 0; pw &= pw - 1 {
+		p := bits.TrailingZeros64(pw)
+		w := r.inMask[p]
+		if !killed {
+			w &^= r.actMask[p] | r.reqMask[p]
+		}
+		for ; w != 0; w &= w - 1 {
+			v := bits.TrailingZeros64(w)
+			in := &r.inv[p*r.nvc+v]
+			if killed {
+				r.reapInVC(p, in)
 			}
-			for ; w != 0; w &= w - 1 {
-				v := bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if killed {
-					r.reapInVC(p, in)
-				}
-				if in.phase != vcIdle || in.q.empty() {
-					continue
-				}
-				head := in.q.peek()
-				if head.Enq >= now { // stage-1 synchronization: not yet visible
-					continue
-				}
-				if !head.IsHeader() {
-					panic("core: non-header flit at head of idle VC")
-				}
-				msg := head.Msg
-				cands := r.liveRoute(msg)
-				if len(cands) == 0 {
-					// No live route (all candidate links down, or the
-					// routing function found the destination
-					// unreachable): kill the message so its buffered
-					// flits are reclaimed rather than blocking the VC
-					// forever. Retransmission retries it once a route
-					// recovers.
-					r.kill(p, msg, obs.CauseNoRoute)
-					killed = true
-					r.reapInVC(p, in)
-					continue
-				}
-				out := cands[0]
-				if len(cands) > 1 {
-					// Fat links: pick the currently least-loaded
-					// candidate (§3.4), ties to the lower port index.
-					best, bestLoad := cands[0], r.portLoad(cands[0])
-					for _, c := range cands[1:] {
-						if l := r.portLoad(c); l < bestLoad {
-							best, bestLoad = c, l
-						}
+			if in.phase != vcIdle || in.q.empty() {
+				continue
+			}
+			head := in.q.peek()
+			if head.Enq >= now { // stage-1 synchronization: not yet visible
+				continue
+			}
+			if !head.IsHeader() {
+				panic("core: non-header flit at head of idle VC")
+			}
+			msg := head.Msg
+			cands := r.liveRoute(msg)
+			if len(cands) == 0 {
+				// No live route (all candidate links down, or the routing
+				// function found the destination unreachable): kill the
+				// message so its buffered flits are reclaimed rather than
+				// blocking the VC forever. Retransmission retries it once
+				// a route recovers.
+				r.kill(p, msg, obs.CauseNoRoute)
+				killed = true
+				r.reapInVC(p, in)
+				continue
+			}
+			out := cands[0]
+			if len(cands) > 1 {
+				// Fat links: pick the currently least-loaded candidate
+				// (§3.4), ties to the lower port index.
+				best, bestLoad := cands[0], r.portLoad(cands[0])
+				for _, c := range cands[1:] {
+					if l := r.portLoad(c); l < bestLoad {
+						best, bestLoad = c, l
 					}
-					out = best
 				}
-				in.headMsg = msg
-				in.outPort = out
-				in.phase = vcRequested
-				in.reqSeq, in.reqAt = r.seq, now
-				r.markIn(in)
-				r.retry.add(out)
-				r.seq++
-				r.stats.RequestsQueued++
+				out = best
 			}
+			in.headMsg = msg
+			in.outPort = out
+			in.phase = vcRequested
+			in.reqSeq, in.reqAt = r.seq, now
+			r.markIn(in)
+			r.retry |= 1 << uint(out)
+			r.seq++
+			r.stats.RequestsQueued++
 		}
 	}
 	// Stage 3: virtual-channel allocation, FCFS per output port. Output
@@ -925,33 +931,32 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// retry is served: on any other, every waiting header is one that
 	// allocOutVC refused and would refuse again. A grant releases nothing,
 	// so the stage flags no port and clears every flag it serves.
-	for pi, pw := range r.retry {
-		r.retry[pi] = 0
-		for ; pw != 0; pw &= pw - 1 {
-			p := pi<<6 | bits.TrailingZeros64(pw)
-			op := &r.outs[p]
-			for _, i := range r.waiting(p) {
-				in := &r.inv[i]
-				vc, ok := r.allocOutVC(p, op, in.headMsg)
-				if !ok {
-					continue
-				}
-				if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
-					r.outAt(p, vc).busy = in.headMsg
-				}
-				in.outVC = vc
-				in.phase = vcActive
-				in.grantedAt = now
-				r.markIn(in)
-				c := &r.vcc[p*r.nvc+vc]
-				c.Grants++
-				c.GrantWait += uint64(now - in.reqAt)
-				if r.trc != nil {
-					r.trc.Emit(obs.Event{At: now, Kind: obs.EvVCAlloc,
-						Router: int16(r.cfg.ID), Port: int16(p), VC: int16(vc),
-						Msg: in.headMsg.ID, Class: in.headMsg.Class,
-						Arg: int64(now - in.reqAt)})
-				}
+	pw := r.retry
+	r.retry = 0
+	for ; pw != 0; pw &= pw - 1 {
+		p := bits.TrailingZeros64(pw)
+		op := &r.outs[p]
+		for _, i := range r.waiting(p) {
+			in := &r.inv[i]
+			vc, ok := r.allocOutVC(p, op, in.headMsg)
+			if !ok {
+				continue
+			}
+			if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
+				r.outAt(p, vc).busy = in.headMsg
+			}
+			in.outVC = vc
+			in.phase = vcActive
+			in.grantedAt = now
+			r.markIn(in)
+			c := &r.vcc[p*r.nvc+vc]
+			c.Grants++
+			c.GrantWait += uint64(now - in.reqAt)
+			if r.trc != nil {
+				r.trc.Emit(obs.Event{At: now, Kind: obs.EvVCAlloc,
+					Router: int16(r.cfg.ID), Port: int16(p), VC: int16(vc),
+					Msg: in.headMsg.ID, Class: in.headMsg.Class,
+					Arg: int64(now - in.reqAt)})
 			}
 		}
 	}
@@ -1055,8 +1060,8 @@ func (r *Router) SetRTVCs(n int) {
 }
 
 // allPorts returns the set of every port of the router.
-func (r *Router) allPorts() portSet {
-	return portSet{^uint64(0), ^uint64(0)}.below(len(r.outs))
+func (r *Router) allPorts() uint64 {
+	return ^uint64(0) >> uint(MaxPorts-len(r.outs))
 }
 
 // portLoad estimates congestion on output port p for fat-link selection:
@@ -1087,16 +1092,19 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// A port offers at most one candidate per VC, so cands never outgrows
 	// the VCs capacity New gave it.
 	cands := r.cands
-	r.claimed, r.picked, r.blocked = portSet{}, portSet{}, portSet{}
+	r.claimed, r.picked, r.blocked = 0, 0, 0
 	// First allocator iteration: each input port's multiplexer picks its
 	// scheduler-preferred eligible flit among outputs not yet claimed this
-	// cycle. The starting port rotates so no port is structurally favoured;
-	// a port with no occupied input VC has nothing to offer, so the walk
-	// visits only inPorts, which the iteration does not change. Only
-	// granted VCs can be picked. Every other occupied VC holds a flit
-	// awaiting an output VC — an idle one by inMask's definition, a
-	// requested one because its header stays at the queue head until
-	// granted — so untraced, they are counted in BlockedNotGranted at once.
+	// cycle. The starting port rotates so no port is structurally favoured:
+	// the walk reads inPorts rotated right by start, whose bit b is port
+	// (b+start) mod MaxPorts, so it visits the ports from start upward and
+	// then those below start, which wrap to the top bits. A port with no
+	// occupied input VC has nothing to offer, so the walk visits only
+	// inPorts, which the iteration does not change. Only granted VCs can
+	// be picked. Every other occupied VC holds a flit awaiting an output
+	// VC — an idle one by inMask's definition, a requested one because its
+	// header stays at the queue head until granted — so untraced, they are
+	// counted in BlockedNotGranted at once.
 	// The granted VCs whose output is already claimed are the OR of the
 	// port's target words of the claimed outputs; they are counted in
 	// BlockedClaimed at once too, and untraced only the rest of actMask is
@@ -1104,78 +1112,72 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// in VC order. claimBlk and blocked record the VCs blocked by a claimed
 	// output for the second iteration.
 	start := r.rotationStart(now)
-	for bi, bw := range r.inPorts.rotate(start) {
-		for ; bw != 0; bw &= bw - 1 {
-			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
-			cands = cands[:0]
-			a := r.actMask[p]
-			var blk uint64 // granted VCs whose output is claimed
-			if r.claimed != (portSet{}) && a != 0 {
-				row := r.tgt[p*len(r.outs):]
-				for ci, cw := range r.claimed {
-					for ; cw != 0; cw &= cw - 1 {
-						blk |= row[ci<<6|bits.TrailingZeros64(cw)]
-					}
+	for bw := bits.RotateLeft64(r.inPorts, -start); bw != 0; bw &= bw - 1 {
+		p := (bits.TrailingZeros64(bw) + start) & (MaxPorts - 1)
+		cands = cands[:0]
+		a := r.actMask[p]
+		var blk uint64 // granted VCs whose output is claimed
+		if r.claimed != 0 && a != 0 {
+			row := r.tgt[p*len(r.outs):]
+			for cw := r.claimed; cw != 0; cw &= cw - 1 {
+				blk |= row[bits.TrailingZeros64(cw)]
+			}
+		}
+		r.claimBlk[p] = blk
+		if blk != 0 {
+			r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
+			r.blocked |= 1 << uint(p)
+		}
+		w := r.inMask[p]
+		if r.trc == nil {
+			r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
+			w = a &^ blk
+		}
+		for ; w != 0; w &= w - 1 {
+			v := bits.TrailingZeros64(w)
+			in := &r.inv[p*r.nvc+v]
+			if blk&(w&-w) != 0 {
+				if !in.q.empty() {
+					r.traceBlock(in, now, obs.CauseClaimed)
 				}
-			}
-			r.claimBlk[p] = blk
-			if blk != 0 {
-				r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
-				r.blocked.add(p)
-			}
-			w := r.inMask[p]
-			if r.trc == nil {
-				r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
-				w = a &^ blk
-			}
-			for ; w != 0; w &= w - 1 {
-				v := bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if blk&(w&-w) != 0 {
-					if !in.q.empty() {
-						r.traceBlock(in, now, obs.CauseClaimed)
-					}
-					continue
-				}
-				if !r.vcEligible(in, now) {
-					if !in.q.empty() {
-						switch {
-						case in.phase != vcActive:
-							r.stats.BlockedNotGranted++
-							r.traceBlock(in, now, obs.CauseNotGranted)
-						case in.grantedAt >= now || in.q.peek().Enq >= now:
-							r.stats.BlockedJustMoved++
-							r.traceBlock(in, now, obs.CauseJustMoved)
-						default:
-							r.stats.BlockedStageFull++
-							r.traceBlock(in, now, obs.CauseStageFull)
-						}
-					}
-					continue
-				}
-				head := in.q.peek()
-				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
-			}
-			if len(cands) == 0 {
 				continue
 			}
-			v := cands[r.inArbs[p].Pick(cands)].VC
-			out := r.inv[p*r.nvc+v].outPort
-			r.claimed.add(out)
-			r.claimedBy[out] = int8(p)
-			r.picked.add(p)
-			r.pickedVC[p] = int8(v)
+			if !r.vcEligible(in, now) {
+				if !in.q.empty() {
+					switch {
+					case in.phase != vcActive:
+						r.stats.BlockedNotGranted++
+						r.traceBlock(in, now, obs.CauseNotGranted)
+					case in.grantedAt >= now || in.q.peek().Enq >= now:
+						r.stats.BlockedJustMoved++
+						r.traceBlock(in, now, obs.CauseJustMoved)
+					default:
+						r.stats.BlockedStageFull++
+						r.traceBlock(in, now, obs.CauseStageFull)
+					}
+				}
+				continue
+			}
+			head := in.q.peek()
+			cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 		}
+		if len(cands) == 0 {
+			continue
+		}
+		v := cands[r.inArbs[p].Pick(cands)].VC
+		out := r.inv[p*r.nvc+v].outPort
+		r.claimed |= 1 << uint(out)
+		r.claimedBy[out] = int8(p)
+		r.picked |= 1 << uint(p)
+		r.pickedVC[p] = int8(v)
 	}
 	if r.cfg.AllocatorIterations >= 2 {
 		r.augment(now, start)
 	}
 	// Forward the matched flits.
-	for pi, pw := range r.picked {
-		for ; pw != 0; pw &= pw - 1 {
-			p := pi<<6 | bits.TrailingZeros64(pw)
-			r.forward(r.inAt(p, int(r.pickedVC[p])), now)
-		}
+	for pw := r.picked; pw != 0; pw &= pw - 1 {
+		p := bits.TrailingZeros64(pw)
+		r.forward(r.inAt(p, int(r.pickedVC[p])), now)
 	}
 }
 
@@ -1208,33 +1210,31 @@ func (r *Router) rotationStart(now sim.Time) int {
 // another, so they are known before the first is served. An alternative
 // must be granted, so the claimer's actMask is searched.
 func (r *Router) augment(now sim.Time, start int) {
-	for bi, bw := range r.blocked.andNot(r.picked).rotate(start) {
-		for ; bw != 0; bw &= bw - 1 {
-			p := (bi<<6 + bits.TrailingZeros64(bw) + start) & 127
-		vcLoop:
-			for w := r.claimBlk[p]; w != 0; w &= w - 1 {
-				v := bits.TrailingZeros64(w)
-				in := &r.inv[p*r.nvc+v]
-				if !r.vcEligible(in, now) {
+	for bw := bits.RotateLeft64(r.blocked&^r.picked, -start); bw != 0; bw &= bw - 1 {
+		p := (bits.TrailingZeros64(bw) + start) & (MaxPorts - 1)
+	vcLoop:
+		for w := r.claimBlk[p]; w != 0; w &= w - 1 {
+			v := bits.TrailingZeros64(w)
+			in := &r.inv[p*r.nvc+v]
+			if !r.vcEligible(in, now) {
+				continue
+			}
+			j := int(r.claimedBy[in.outPort]) // a claim-blocked VC's output is claimed
+			for wa := r.actMask[j]; wa != 0; wa &= wa - 1 {
+				jv := bits.TrailingZeros64(wa)
+				alt := &r.inv[j*r.nvc+jv]
+				if jv == int(r.pickedVC[j]) || r.claimed&(1<<uint(alt.outPort)) != 0 || !r.vcEligible(alt, now) {
 					continue
 				}
-				j := int(r.claimedBy[in.outPort]) // a claim-blocked VC's output is claimed
-				for wa := r.actMask[j]; wa != 0; wa &= wa - 1 {
-					jv := bits.TrailingZeros64(wa)
-					alt := &r.inv[j*r.nvc+jv]
-					if jv == int(r.pickedVC[j]) || r.claimed.has(alt.outPort) || !r.vcEligible(alt, now) {
-						continue
-					}
-					// Re-point input j to the free output and hand the
-					// contested one to p.
-					r.claimed.add(alt.outPort)
-					r.claimedBy[alt.outPort] = int8(j)
-					r.pickedVC[j] = int8(jv)
-					r.claimedBy[in.outPort] = int8(p)
-					r.picked.add(p)
-					r.pickedVC[p] = int8(v)
-					break vcLoop
-				}
+				// Re-point input j to the free output and hand the
+				// contested one to p.
+				r.claimed |= 1 << uint(alt.outPort)
+				r.claimedBy[alt.outPort] = int8(j)
+				r.pickedVC[j] = int8(jv)
+				r.claimedBy[in.outPort] = int8(p)
+				r.picked |= 1 << uint(p)
+				r.pickedVC[p] = int8(v)
+				break vcLoop
 			}
 		}
 	}
@@ -1261,40 +1261,36 @@ func (r *Router) fullTraversal(now sim.Time) {
 	// fed marks the output VCs that found a feeder this cycle, laid out
 	// like outMask, and fedPorts their ports; feeder entries without a bit
 	// are stale. The forwarding walk clears both for the next cycle.
-	for pi, pw := range r.inPorts {
-		for ; pw != 0; pw &= pw - 1 {
-			p := pi<<6 | bits.TrailingZeros64(pw)
-			for w := r.actMask[p]; w != 0; w &= w - 1 { // vcEligible requires vcActive
-				v := bits.TrailingZeros64(w)
-				i := p*m + v
-				in := &r.inv[i]
-				if !r.vcEligible(in, now) {
-					continue
-				}
-				head := in.q.peek()
-				c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
-				key := in.outPort*m + in.outVC
-				bit := uint64(1) << uint(in.outVC)
-				if r.fed[in.outPort]&bit == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
-					r.fed[in.outPort] |= bit
-					r.fedPorts.add(in.outPort)
-					r.feeder[key] = int32(i)
-					r.feederCand[key] = c
-				}
+	for pw := r.inPorts; pw != 0; pw &= pw - 1 {
+		p := bits.TrailingZeros64(pw)
+		for w := r.actMask[p]; w != 0; w &= w - 1 { // vcEligible requires vcActive
+			v := bits.TrailingZeros64(w)
+			i := p*m + v
+			in := &r.inv[i]
+			if !r.vcEligible(in, now) {
+				continue
+			}
+			head := in.q.peek()
+			c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
+			key := in.outPort*m + in.outVC
+			bit := uint64(1) << uint(in.outVC)
+			if r.fed[in.outPort]&bit == 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
+				r.fed[in.outPort] |= bit
+				r.fedPorts |= 1 << uint(in.outPort)
+				r.feeder[key] = int32(i)
+				r.feederCand[key] = c
 			}
 		}
 	}
-	for pi, pw := range r.fedPorts {
-		for ; pw != 0; pw &= pw - 1 {
-			p := pi<<6 | bits.TrailingZeros64(pw)
-			w := r.fed[p]
-			r.fed[p] = 0
-			for ; w != 0; w &= w - 1 {
-				r.forward(&r.inv[r.feeder[p*m+bits.TrailingZeros64(w)]], now)
-			}
+	for pw := r.fedPorts; pw != 0; pw &= pw - 1 {
+		p := bits.TrailingZeros64(pw)
+		w := r.fed[p]
+		r.fed[p] = 0
+		for ; w != 0; w &= w - 1 {
+			r.forward(&r.inv[r.feeder[p*m+bits.TrailingZeros64(w)]], now)
 		}
 	}
-	r.fedPorts = portSet{}
+	r.fedPorts = 0
 }
 
 // vcEligible reports whether in's head flit may traverse the crossbar now.
@@ -1374,66 +1370,64 @@ func (r *Router) transmit(now sim.Time) {
 	if reaping {
 		todo = r.allPorts()
 	}
-	for pi := range todo {
-		for todo[pi] != 0 {
-			p := pi<<6 | bits.TrailingZeros64(todo[pi])
-			todo[pi] &= todo[pi] - 1
-			if reaping {
-				r.reapOutPort(p, now)
-			}
-			fresh := r.fresh[p]
-			r.fresh[p] = 0
-			if reaping && r.outMask[p] == 0 {
-				continue
-			}
-			if !r.linkUp[p] || r.stalled[p] {
-				// A dead or stalled link transmits nothing. Staged flits on
-				// a stalled link wait; on a dead link they belong to worms
-				// killed by SetLinkUp and are reaped above.
-				r.stallCycles[p]++
-				continue
-			}
-			op := &r.outs[p]
-			cands := r.cands // at most one candidate per VC: never outgrows New's capacity
-			cands = cands[:0]
-			for w := r.outMask[p] &^ (*op.full | fresh); w != 0; w &= w - 1 {
-				v := bits.TrailingZeros64(w)
-				head := r.outv[p*r.nvc+v].stage.peek()
-				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
-			}
-			if len(cands) == 0 { // staged work, no downstream credit
-				r.stallCycles[p]++
-				continue
-			}
-			v := cands[op.arb.Pick(cands)].VC
-			ov := r.outAt(p, v)
-			f := ov.stage.pop()
-			r.markOut(p, v)
-			if r.corrupt != nil && r.corrupt(p, f) {
-				// The flit is corrupted on the wire: the whole message is
-				// lost (wormhole has no flit-level recovery) and unravels.
-				r.kill(p, f.Msg, obs.CauseCorrupt)
-				r.dropFlit(p)
-				if !reaping {
-					reaping = true
-					todo = r.allPorts().andNot(r.allPorts().below(p + 1))
-				}
-				continue
-			}
-			f.Enq = now + r.cfg.Period // arrival downstream after the wire
-			r.vcc[p*r.nvc+v].Transmitted++
-			if r.trc != nil {
-				// Emit before Accept: a sink consumer ejects the flit at its
-				// downstream arrival time (now+Period), and per-lane
-				// timestamps must stay non-decreasing in emission order.
-				r.trc.Emit(obs.Event{At: now, Kind: obs.EvLinkTraverse,
-					Router: int16(r.cfg.ID), Port: int16(p), VC: int16(v),
-					Msg: f.Msg.ID, Class: f.Msg.Class, Seq: int32(f.Seq),
-					Arg: obs.TSArg(f.TS)})
-			}
-			op.consumer.Accept(v, f)
-			r.stats.FlitsTransmitted++
+	for todo != 0 {
+		p := bits.TrailingZeros64(todo)
+		todo &= todo - 1
+		if reaping {
+			r.reapOutPort(p, now)
 		}
+		fresh := r.fresh[p]
+		r.fresh[p] = 0
+		if reaping && r.outMask[p] == 0 {
+			continue
+		}
+		if !r.linkUp[p] || r.stalled[p] {
+			// A dead or stalled link transmits nothing. Staged flits on
+			// a stalled link wait; on a dead link they belong to worms
+			// killed by SetLinkUp and are reaped above.
+			r.stallCycles[p]++
+			continue
+		}
+		op := &r.outs[p]
+		cands := r.cands // at most one candidate per VC: never outgrows New's capacity
+		cands = cands[:0]
+		for w := r.outMask[p] &^ (*op.full | fresh); w != 0; w &= w - 1 {
+			v := bits.TrailingZeros64(w)
+			head := r.outv[p*r.nvc+v].stage.peek()
+			cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
+		}
+		if len(cands) == 0 { // staged work, no downstream credit
+			r.stallCycles[p]++
+			continue
+		}
+		v := cands[op.arb.Pick(cands)].VC
+		ov := r.outAt(p, v)
+		f := ov.stage.pop()
+		r.markOut(p, v)
+		if r.corrupt != nil && r.corrupt(p, f) {
+			// The flit is corrupted on the wire: the whole message is
+			// lost (wormhole has no flit-level recovery) and unravels.
+			r.kill(p, f.Msg, obs.CauseCorrupt)
+			r.dropFlit(p)
+			if !reaping {
+				reaping = true
+				todo = r.allPorts() >> uint(p+1) << uint(p+1)
+			}
+			continue
+		}
+		f.Enq = now + r.cfg.Period // arrival downstream after the wire
+		r.vcc[p*r.nvc+v].Transmitted++
+		if r.trc != nil {
+			// Emit before Accept: a sink consumer ejects the flit at its
+			// downstream arrival time (now+Period), and per-lane
+			// timestamps must stay non-decreasing in emission order.
+			r.trc.Emit(obs.Event{At: now, Kind: obs.EvLinkTraverse,
+				Router: int16(r.cfg.ID), Port: int16(p), VC: int16(v),
+				Msg: f.Msg.ID, Class: f.Msg.Class, Seq: int32(f.Seq),
+				Arg: obs.TSArg(f.TS)})
+		}
+		op.consumer.Accept(v, f)
+		r.stats.FlitsTransmitted++
 	}
 }
 
@@ -1524,7 +1518,7 @@ func (r *Router) BlockedWorms() []Blocked {
 // allocOutVC refuses. It walks every VC, so it is an audit to run between
 // cycles, not part of one.
 func (r *Router) CheckOccupancy() error {
-	var wantInPorts, wantOutPorts portSet
+	var wantInPorts, wantOutPorts uint64
 	wantTgt := make([]uint64, len(r.outs))
 	for p := range r.outs {
 		clear(wantTgt)
@@ -1546,10 +1540,10 @@ func (r *Router) CheckOccupancy() error {
 				}
 			}
 			if wantIn {
-				wantInPorts.add(p)
+				wantInPorts |= 1 << uint(p)
 			}
 			if wantOut {
-				wantOutPorts.add(p)
+				wantOutPorts |= 1 << uint(p)
 			}
 			for _, c := range [...]struct {
 				side, what string
@@ -1577,7 +1571,7 @@ func (r *Router) CheckOccupancy() error {
 			}
 		}
 		op := &r.outs[p]
-		if r.retry.has(p) {
+		if r.retry&(1<<uint(p)) != 0 {
 			continue
 		}
 		for _, i := range r.waiting(p) {
@@ -1589,11 +1583,11 @@ func (r *Router) CheckOccupancy() error {
 	}
 	for _, c := range [...]struct {
 		what      string
-		got, want portSet
+		got, want uint64
 	}{
 		{"input summary", r.inPorts, wantInPorts},
 		{"output summary", r.outPorts, wantOutPorts},
-		{"retry", r.retry, r.retry.below(len(r.outs))},
+		{"retry", r.retry, r.retry & r.allPorts()},
 	} {
 		if c.got != c.want {
 			return fmt.Errorf("core: router %d %s ports %#x, VC state says %#x", r.cfg.ID, c.what, c.got, c.want)

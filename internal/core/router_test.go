@@ -94,7 +94,9 @@ func run(r *Router, start sim.Time, n int) sim.Time {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Ports = 0 },
+		func(c *Config) { c.Ports = MaxPorts + 1 },
 		func(c *Config) { c.VCs = 0 },
+		func(c *Config) { c.VCs = sched.MaxVCs + 1 },
 		func(c *Config) { c.RTVCs = -1 },
 		func(c *Config) { c.RTVCs = c.VCs + 1 },
 		func(c *Config) { c.BufferDepth = 0 },

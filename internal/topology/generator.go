@@ -389,9 +389,6 @@ func (s Spec) Layout(ports int) (*Layout, error) {
 		l.geo, l.transit = c, c.transit()
 		l.ports = append(uniform(c.leaves, c.down+c.spines*c.lanes), uniform(c.spines, c.leaves*c.lanes)...)
 	}
-	if p := slices.Max(l.ports); p > 127 {
-		return nil, fmt.Errorf("topology: %s needs %d-port routers (max 127)", s, p)
-	}
 	return l, nil
 }
 
@@ -744,7 +741,9 @@ func classPartitions(cfg core.Config) []int {
 // routers take their port count from it. All router state is carved from
 // one shared struct-of-arrays arena, endpoint state from the fabric's
 // endpoint arena, and every port the layout leaves unwired is terminated
-// with a network.DeadEnd so a route there fails loudly.
+// with a network.DeadEnd so a route there fails loudly. Before it allocates,
+// Build refuses a fabric whose routers exceed a router's limits,
+// sched.MaxVCs VCs per physical channel and core.MaxPorts ports.
 func Build(engine *sim.Engine, spec Spec, base core.Config) (*Net, error) {
 	if base.VCs > sched.MaxVCs {
 		return nil, fmt.Errorf("topology: %d VCs per physical channel, but a router supports at most %d",
@@ -766,6 +765,10 @@ func Build(engine *sim.Engine, spec Spec, base core.Config) (*Net, error) {
 		}
 	}
 	radix := slices.Max(l.ports)
+	if radix > core.MaxPorts {
+		return nil, fmt.Errorf("topology: %s needs %d-port routers, but a router supports at most %d",
+			l.spec, radix, core.MaxPorts)
+	}
 	base.Arena = core.NewArena(l.arenaShape(base))
 	base.VCSel = l.vcSel
 	base.Route = l.geo.route
