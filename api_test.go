@@ -64,9 +64,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 // core.MaxPorts ports and sched.MaxVCs VCs, as errors from the fabric
 // build, not panics: a single switch at each limit builds, and one more
 // port, a Clos whose spine needs one more port, and one more VC are refused
-// with the router-limit message. The limits are the wormhole router's, not
-// the Config's: the PCS switch keeps its own port and VC ranges, so RunPCS
-// still runs, and establishes connections, one above both limits.
+// with the router-limit message, headed by the topology the Config names
+// rather than the generator spec it resolves to. The limits are the
+// wormhole router's, not the Config's: the PCS switch keeps its own port
+// and VC ranges, so RunPCS still runs, and establishes connections, one
+// above both limits.
 func TestNewSimRefusesRoutersAboveTheLimits(t *testing.T) {
 	for _, c := range []struct {
 		ports, vcs int
@@ -76,11 +78,11 @@ func TestNewSimRefusesRoutersAboveTheLimits(t *testing.T) {
 		{ports: core.MaxPorts},
 		{vcs: sched.MaxVCs},
 		{ports: core.MaxPorts + 1,
-			err: "topology: full1c65 needs 65-port routers, but a router supports at most 64"},
+			err: "mediaworm: single-switch: topology: full1c65 needs 65-port routers, but a router supports at most 64"},
 		{topology: "clos65x1",
-			err: "topology: clos65x1 needs 65-port routers, but a router supports at most 64"},
+			err: "mediaworm: clos65x1: topology: clos65x1 needs 65-port routers, but a router supports at most 64"},
 		{vcs: sched.MaxVCs + 1,
-			err: "topology: 65 VCs per physical channel, but a router supports at most 64"},
+			err: "mediaworm: single-switch: topology: 65 VCs per physical channel, but a router supports at most 64"},
 	} {
 		cfg := DefaultConfig()
 		if c.ports != 0 {

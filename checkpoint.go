@@ -91,9 +91,8 @@ func NewSim(cfg Config) (*Sim, error) {
 	}
 	net, err := topology.Build(eng, spec, rcfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mediaworm: %s: %w", cfg.Topology, err)
 	}
-	net.Fabric.SetTracer(trc)
 	if cfg.SourcePolicy != "" && cfg.SourcePolicy != cfg.Policy {
 		srcKind, _ := schedKind(cfg.SourcePolicy) // Validate accepted the name
 		for _, ni := range net.NIs {
@@ -136,7 +135,6 @@ func NewSim(cfg Config) (*Sim, error) {
 				sim.Time(timeout.Nanoseconds()), attempts)
 		}
 		s.injector = fault.NewInjector(eng, net.Fabric, rng.NewStream(cfg.Seed, "fault"))
-		s.injector.Tracer = trc
 		if fc.LinkMTBF > 0 {
 			for _, l := range net.TransitLinks() {
 				s.injector.Churn(fault.Link{

@@ -74,34 +74,46 @@ func TestOccupancyThroughSetLinkUpMidWorm(t *testing.T) {
 // Checkpoints taken just after a tail released an output VC catch a
 // restore that leaves the waiting headers' retry flag down; a grant in the
 // next cycle catches one that loses a waiting header's request instant.
+// The original runs untraced and traced, each restored into an untraced
+// router built from the same config: tracing observes the router, so a
+// traced router's arbiters must encode like an untraced one's and both
+// must step alike.
 func TestOccupancyRebuiltOnRestore(t *testing.T) {
-	cfg := reqConfig()
-	cfg.Ports = 3
-	a, _ := build(t, cfg)
-	for v := 0; v < 4; v++ {
-		deliver(a, v%2, v, msg(uint64(v+1), 2, 0, 6, 100), period)
-	}
-	now := period
-	for cycle := 0; !a.Quiesced(); cycle++ {
-		if cycle > 100 {
-			t.Fatal("router did not drain")
-		}
-		b := restored(t, a, cfg)
-		if err := b.CheckOccupancy(); err != nil {
-			t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
-		}
-		if err := sameMasks(a, b); err != nil {
-			t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
-		}
-		step(t, a, now)
-		step(t, b, now)
-		if err := sameMasks(a, b); err != nil {
-			t.Fatalf("cycle %d, one step after RestoreState: %v", cycle, err)
-		}
-		if a.Stats() != b.Stats() {
-			t.Fatalf("cycle %d, one step after RestoreState: counters %+v, want %+v", cycle, b.Stats(), a.Stats())
-		}
-		now += period
+	for _, name := range []string{"untraced", "traced"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := reqConfig()
+			cfg.Ports = 3
+			acfg := cfg
+			if name == "traced" {
+				acfg.Tracer = obs.New(obs.Options{Enabled: true})
+			}
+			a, _ := build(t, acfg)
+			for v := 0; v < 4; v++ {
+				deliver(a, v%2, v, msg(uint64(v+1), 2, 0, 6, 100), period)
+			}
+			now := period
+			for cycle := 0; !a.Quiesced(); cycle++ {
+				if cycle > 100 {
+					t.Fatal("router did not drain")
+				}
+				b := restored(t, a, cfg)
+				if err := b.CheckOccupancy(); err != nil {
+					t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
+				}
+				if err := sameMasks(a, b); err != nil {
+					t.Fatalf("cycle %d, after RestoreState: %v", cycle, err)
+				}
+				step(t, a, now)
+				step(t, b, now)
+				if err := sameMasks(a, b); err != nil {
+					t.Fatalf("cycle %d, one step after RestoreState: %v", cycle, err)
+				}
+				if a.Stats() != b.Stats() {
+					t.Fatalf("cycle %d, one step after RestoreState: counters %+v, want %+v", cycle, b.Stats(), a.Stats())
+				}
+				now += period
+			}
+		})
 	}
 }
 

@@ -145,7 +145,9 @@ type Config struct {
 	ExclusiveEndpointVCs bool
 
 	// Tracer is the observability sink (nil = tracing disabled; the
-	// instrumentation then costs one branch per site).
+	// instrumentation then costs one branch per site). Tracing only
+	// observes: no stage visits or picks differently. A fabric built from
+	// the router traces into the same tracer (network.Fabric.AddRouter).
 	Tracer *obs.Tracer
 }
 
@@ -292,7 +294,7 @@ type PortStats struct {
 type Router struct {
 	rtVCs int      // current real-time VC partition size (adjustable)
 	seq   uint64   // arbitration sequence counter
-	now   sim.Time // current cycle instant, so arbiter observers can stamp their events
+	now   sim.Time // current cycle instant, which the router's trace events carry
 	// Flat per-VC tables (index port·VCs+vc) and per-port state.
 	inv    []inVC
 	outv   []outVC
@@ -456,18 +458,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Tracer.Enabled() {
 		r.trc = cfg.Tracer
 		r.trc.RegisterRouter(cfg.ID, cfg.Ports, cfg.VCs, r.vcc, r.pc)
-		id := int16(cfg.ID)
-		for p := 0; p < cfg.Ports; p++ {
-			port := int16(p)
-			r.inArbs[p] = sched.Observed(r.inArbs[p], func(w sched.Candidate, n int) {
-				r.trc.Emit(obs.Event{At: r.now, Kind: obs.EvPickInput, Router: id,
-					Port: port, VC: int16(w.VC), Arg: obs.TSArg(w.TS), Seq: int32(n)})
-			})
-			r.outs[p].arb = sched.Observed(r.outs[p].arb, func(w sched.Candidate, n int) {
-				r.trc.Emit(obs.Event{At: r.now, Kind: obs.EvPickOutput, Router: id,
-					Port: port, VC: int16(w.VC), Arg: obs.TSArg(w.TS), Seq: int32(n)})
-			})
-		}
 	}
 	return r, nil
 }
@@ -754,6 +744,37 @@ func (r *Router) traceBlock(in *inVC, now sim.Time, cause obs.Cause) {
 		Router: int16(r.cfg.ID), Port: in.port, VC: in.vcIdx, Msg: msg, Class: class})
 }
 
+// traceBlocks opens, in VC order, the blocking span of each input VC of
+// port p holding a flit that cannot move this cycle, with its cause:
+// claimed if its bit is in blk, else not granted, just moved (its grant or
+// head arrived this cycle) or stage full. Stage 4 calls it after its
+// visit, which counted the Stats, and before the port's pick.
+func (r *Router) traceBlocks(p int, blk uint64, now sim.Time) {
+	for w := r.inMask[p]; w != 0; w &= w - 1 {
+		in := &r.inv[p*r.nvc+bits.TrailingZeros64(w)]
+		switch {
+		case in.q.empty():
+		case blk&(w&-w) != 0:
+			r.traceBlock(in, now, obs.CauseClaimed)
+		case r.vcEligible(in, now):
+		case in.phase != vcActive:
+			r.traceBlock(in, now, obs.CauseNotGranted)
+		case in.grantedAt >= now || in.q.peek().Enq >= now:
+			r.traceBlock(in, now, obs.CauseJustMoved)
+		default:
+			r.traceBlock(in, now, obs.CauseStageFull)
+		}
+	}
+}
+
+// tracePick emits the pick event of kind, EvPickInput or EvPickOutput, for
+// port p's multiplexer: the winner's VC and timestamp, and n, the number
+// of candidates.
+func (r *Router) tracePick(kind obs.Kind, p int, w sched.Candidate, n int) {
+	r.trc.Emit(obs.Event{At: r.now, Kind: kind, Router: int16(r.cfg.ID), Port: int16(p),
+		VC: int16(w.VC), Arg: obs.TSArg(w.TS), Seq: int32(n)})
+}
+
 // traceUnblock closes the input VC's open blocking span, if any.
 func (r *Router) traceUnblock(in *inVC, now sim.Time) {
 	if r.trc == nil || in.blkCause == obs.CauseNone {
@@ -834,8 +855,8 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 // each stage visits only what it can act on: stage 2 the idle VCs holding
 // a header (every occupied VC once a message has been killed), stage 3 the
 // waiting headers of ports flagged for retry, stage 4 the granted VCs
-// (every occupied VC when tracing) and stage 5 the output VCs staging
-// flits.
+// whose output is unclaimed and stage 5 the output VCs staging flits.
+// Tracing changes none of these visits.
 //
 //mw:hotpath
 func (r *Router) Step(now sim.Time) {
@@ -1103,14 +1124,14 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// inPorts, which the iteration does not change. Only granted VCs can
 	// be picked. Every other occupied VC holds a flit awaiting an output
 	// VC — an idle one by inMask's definition, a requested one because its
-	// header stays at the queue head until granted — so untraced, they are
-	// counted in BlockedNotGranted at once.
-	// The granted VCs whose output is already claimed are the OR of the
-	// port's target words of the claimed outputs; they are counted in
-	// BlockedClaimed at once too, and untraced only the rest of actMask is
-	// visited. Traced, every occupied VC is visited, so blocking spans open
-	// in VC order. claimBlk and blocked record the VCs blocked by a claimed
-	// output for the second iteration.
+	// header stays at the queue head until granted — so they are counted
+	// in BlockedNotGranted at once. The granted VCs whose output is
+	// already claimed are the OR of the port's target words of the claimed
+	// outputs; they are counted in BlockedClaimed at once too, and only
+	// the rest of actMask is visited. claimBlk and blocked record the VCs
+	// blocked by a claimed output for the second iteration. A traced run
+	// visits the same VCs, then opens the port's blocking spans in VC order
+	// (traceBlocks) before its multiplexer picks, and emits the pick.
 	start := r.rotationStart(now)
 	for bw := bits.RotateLeft64(r.inPorts, -start); bw != 0; bw &= bw - 1 {
 		p := (bits.TrailingZeros64(bw) + start) & (MaxPorts - 1)
@@ -1128,43 +1149,34 @@ func (r *Router) switchTraversal(now sim.Time) {
 			r.stats.BlockedClaimed += uint64(bits.OnesCount64(blk))
 			r.blocked |= 1 << uint(p)
 		}
-		w := r.inMask[p]
-		if r.trc == nil {
-			r.stats.BlockedNotGranted += uint64(bits.OnesCount64(w &^ a))
-			w = a &^ blk
-		}
-		for ; w != 0; w &= w - 1 {
+		r.stats.BlockedNotGranted += uint64(bits.OnesCount64(r.inMask[p] &^ a))
+		for w := a &^ blk; w != 0; w &= w - 1 {
 			v := bits.TrailingZeros64(w)
 			in := &r.inv[p*r.nvc+v]
-			if blk&(w&-w) != 0 {
-				if !in.q.empty() {
-					r.traceBlock(in, now, obs.CauseClaimed)
-				}
-				continue
-			}
 			if !r.vcEligible(in, now) {
-				if !in.q.empty() {
-					switch {
-					case in.phase != vcActive:
-						r.stats.BlockedNotGranted++
-						r.traceBlock(in, now, obs.CauseNotGranted)
-					case in.grantedAt >= now || in.q.peek().Enq >= now:
-						r.stats.BlockedJustMoved++
-						r.traceBlock(in, now, obs.CauseJustMoved)
-					default:
-						r.stats.BlockedStageFull++
-						r.traceBlock(in, now, obs.CauseStageFull)
-					}
+				switch {
+				case in.q.empty():
+				case in.grantedAt >= now || in.q.peek().Enq >= now:
+					r.stats.BlockedJustMoved++
+				default:
+					r.stats.BlockedStageFull++
 				}
 				continue
 			}
 			head := in.q.peek()
 			cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 		}
+		if r.trc != nil {
+			r.traceBlocks(p, blk, now)
+		}
 		if len(cands) == 0 {
 			continue
 		}
-		v := cands[r.inArbs[p].Pick(cands)].VC
+		i := r.inArbs[p].Pick(cands)
+		if r.trc != nil {
+			r.tracePick(obs.EvPickInput, p, cands[i], len(cands))
+		}
+		v := cands[i].VC
 		out := r.inv[p*r.nvc+v].outPort
 		r.claimed |= 1 << uint(out)
 		r.claimedBy[out] = int8(p)
@@ -1400,7 +1412,11 @@ func (r *Router) transmit(now sim.Time) {
 			r.stallCycles[p]++
 			continue
 		}
-		v := cands[op.arb.Pick(cands)].VC
+		i := op.arb.Pick(cands)
+		if r.trc != nil {
+			r.tracePick(obs.EvPickOutput, p, cands[i], len(cands))
+		}
+		v := cands[i].VC
 		ov := r.outAt(p, v)
 		f := ov.stage.pop()
 		r.markOut(p, v)

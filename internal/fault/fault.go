@@ -46,10 +46,6 @@ type Injector struct {
 	// OnFault, if set, observes every state change for tracing: kind is
 	// "link-down", "link-up", "stall", or "unstall".
 	OnFault func(at sim.Time, kind string, router, port int)
-
-	// Tracer, if set, records every fault transition as an obs.EvFault
-	// event (Cause link-down or stalled; Arg 1 = onset, 0 = lift).
-	Tracer *obs.Tracer
 }
 
 // NewInjector creates an injector for the fabric. src seeds the stochastic
@@ -74,13 +70,15 @@ func (in *Injector) split() *rng.Source {
 }
 
 // note counts a fault transition in the port block of (r, port) and
-// reports it to the observers.
+// reports it to the observers: OnFault, and r's tracer, which records it
+// as an obs.EvFault event (Cause link-down or stalled; Arg 1 = onset,
+// 0 = lift).
 func (in *Injector) note(kind string, r *core.Router, port int) {
 	r.PortCounters()[port].Faults++
 	if in.OnFault != nil {
 		in.OnFault(in.engine.Now(), kind, r.ID(), port)
 	}
-	if in.Tracer != nil {
+	if t := r.Config().Tracer; t != nil {
 		cause, onset := obs.CauseLinkDown, int64(1)
 		switch kind {
 		case "link-down":
@@ -91,7 +89,7 @@ func (in *Injector) note(kind string, r *core.Router, port int) {
 		case "unstall":
 			cause, onset = obs.CauseStalled, 0
 		}
-		in.Tracer.Emit(obs.Event{At: in.engine.Now(), Kind: obs.EvFault,
+		t.Emit(obs.Event{At: in.engine.Now(), Kind: obs.EvFault,
 			Cause: cause, Router: int16(r.ID()), Port: int16(port), VC: -1,
 			Arg: onset})
 	}

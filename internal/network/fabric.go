@@ -64,7 +64,10 @@ type Fabric struct {
 	// OnDeadlock, if set, observes every watchdog trip.
 	OnDeadlock func(*DeadlockReport) //mw:snapcover — observer callback, rewired by the embedding run
 
-	// trc is the observability sink (nil = tracing disabled).
+	// trc is the routers' observability sink (nil = tracing disabled),
+	// taken by AddRouter: NI arbitrations, injections, ejections and
+	// watchdog verdicts are traced, and the tracer's periodic metrics
+	// snapshots are driven from the fabric's cycle.
 	trc *obs.Tracer //mw:snapcover — tracing refuses checkpoints
 
 	// epa backs NI/sink state with struct-of-arrays slabs.
@@ -89,11 +92,13 @@ func NewFabric(engine *sim.Engine, period sim.Time, endpoints, vcs int) *Fabric 
 	return f
 }
 
-// AddRouter registers a router with the fabric and shares the fabric's kill
-// flag with it. Routers step in registration order each cycle, so
+// AddRouter registers a router with the fabric, shares the fabric's kill
+// flag with it and takes its tracer, which the endpoints attached after it
+// trace into. Routers step in registration order each cycle, so
 // registration order is part of the deterministic model.
 func (f *Fabric) AddRouter(r *core.Router) {
 	r.ShareKillFlag(&f.killed)
+	f.trc = r.Config().Tracer
 	f.Routers = append(f.Routers, r)
 }
 
@@ -137,21 +142,6 @@ type routerInput struct {
 
 func (ri *routerInput) Full() *uint64              { return ri.r.InputFull(ri.port) }
 func (ri *routerInput) Accept(vc int, f flit.Flit) { ri.r.Deliver(ri.port, vc, f) }
-
-// SetTracer attaches the observability sink: NI arbitrations, injections,
-// ejections and watchdog verdicts are traced, and the tracer's periodic
-// metrics snapshots are driven from the fabric's cycle. Call after wiring
-// (the routers already carry the tracer via their core.Config) and before
-// traffic starts. A nil tracer is a no-op.
-func (f *Fabric) SetTracer(t *obs.Tracer) {
-	if !t.Enabled() {
-		return
-	}
-	f.trc = t
-	for _, ni := range f.NIs {
-		ni.observeArb(t)
-	}
-}
 
 // addWork accounts flits entering the fabric and wakes the cycle driver.
 func (f *Fabric) addWork(flits int) {

@@ -101,8 +101,8 @@ type NI struct {
 	// retx, if set, tracks injected messages for end-to-end retransmission.
 	retx *Retransmitter //mw:snapcover — nil when checkpointing: fault runs refuse checkpoints
 
-	// trc is the observability sink (nil = disabled); blocked tracks the
-	// open no-credit blocking span on the injection link.
+	// trc is the fabric's observability sink (nil = disabled); blocked
+	// tracks the open no-credit blocking span on the injection link.
 	trc     *obs.Tracer //mw:snapcover — tracing refuses checkpoints
 	blocked bool        //mw:snapcover — open blocking span; tracing refuses checkpoints
 }
@@ -117,6 +117,7 @@ func newNI(f *Fabric, r *core.Router, port, node int) *NI {
 	ni.vcs = carve(&f.epa.vcs, cfg.VCs)
 	ni.arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
 	ni.cands = carve(&f.epa.cands, cfg.VCs)[:0]
+	ni.trc = f.trc
 	return ni
 }
 
@@ -177,9 +178,6 @@ func (n *NI) SetPolicyParams(k sched.Kind, p sched.Params) {
 		p.VCs = len(n.vcs)
 	}
 	n.arb = sched.NewArbiter(k, p)
-	if n.trc != nil {
-		n.wrapArb()
-	}
 }
 
 // SetPolicer installs the injection-point meter→dropper chain (nil disables
@@ -189,23 +187,6 @@ func (n *NI) SetPolicer(p *police.Policer) { n.pol = p }
 // PoliceDrops returns the real-time messages the dropper discarded at
 // injection, counted in the router's block for the NI's port.
 func (n *NI) PoliceDrops() uint64 { return n.pc.PoliceDrops }
-
-// observeArb attaches the tracer and wraps the injection multiplexer so
-// its decisions are traced. Called by Fabric.SetTracer.
-func (n *NI) observeArb(t *obs.Tracer) {
-	n.trc = t
-	n.wrapArb()
-}
-
-// wrapArb (re)wraps the current arbiter with the pick observer.
-func (n *NI) wrapArb() {
-	id, port := int16(n.router.ID()), int16(n.port)
-	n.arb = sched.Observed(n.arb, func(w sched.Candidate, cands int) {
-		n.trc.Emit(obs.Event{At: n.fab.lastTick, Kind: obs.EvPickSource,
-			Router: id, Port: port, VC: int16(w.VC),
-			Arg: obs.TSArg(w.TS), Seq: int32(cands)})
-	})
-}
 
 // traceStall opens or closes the injection link's no-credit blocking span.
 func (n *NI) traceStall(now sim.Time, stalled bool) {
@@ -309,7 +290,13 @@ func (n *NI) step(now sim.Time) {
 	}
 	n.traceStall(now, false)
 	n.Sent++
-	w := n.cands[n.arb.Pick(n.cands)].VC
+	i := n.arb.Pick(n.cands)
+	if n.trc != nil {
+		n.trc.Emit(obs.Event{At: now, Kind: obs.EvPickSource,
+			Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(n.cands[i].VC),
+			Arg: obs.TSArg(n.cands[i].TS), Seq: int32(len(n.cands))})
+	}
+	w := n.cands[i].VC
 	nv := &n.vcs[w]
 	msg := nv.q.peek()
 	f := flit.Flit{Msg: msg, Seq: nv.sent, TS: nv.pendingTS, Enq: now + n.fab.Period}

@@ -11,8 +11,10 @@ import (
 
 // Checkpoint support for the fabric layer: NI injection queues, sink
 // reassembly state, and the cycle driver. The fault/watchdog/retransmission
-// subsystems are not snapshottable in format v1; the top-level checkpoint
-// gate refuses configs that enable them, and Fabric.EncodeState re-checks.
+// subsystems and tracing are not snapshottable in the current format
+// (snapshot.Version); the top-level checkpoint gate refuses configs that
+// enable them, and Fabric.EncodeState re-checks the watchdog and the
+// tracer.
 
 // CollectMessages registers every message referenced by the fabric's
 // routers and NI injection queues.

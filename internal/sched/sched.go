@@ -229,33 +229,6 @@ func NewArbiter(k Kind, p Params) Arbiter {
 	}
 }
 
-// PickObserver is an instrumentation hook: it receives each arbitration's
-// winning candidate and the field size. The observability layer supplies
-// one per contention point via Observed.
-type PickObserver func(winner Candidate, candidates int)
-
-// Observed wraps an arbiter so every Pick is reported to fn. The wrapper
-// is transparent: the inner arbiter keeps its state and Kind.
-func Observed(a Arbiter, fn PickObserver) Arbiter {
-	if fn == nil {
-		return a
-	}
-	return &observedArbiter{inner: a, fn: fn}
-}
-
-type observedArbiter struct {
-	inner Arbiter
-	fn    PickObserver
-}
-
-func (o *observedArbiter) Kind() Kind { return o.inner.Kind() }
-
-func (o *observedArbiter) Pick(cands []Candidate) int {
-	w := o.inner.Pick(cands)
-	o.fn(cands[w], len(cands))
-	return w
-}
-
 type fifoArbiter struct{}
 
 func (*fifoArbiter) Kind() Kind { return FIFO }

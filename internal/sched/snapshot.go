@@ -13,8 +13,8 @@ import (
 // tagged with its Kind so a restore into a differently-configured contention
 // point fails loudly instead of silently mixing disciplines.
 
-// EncodeArbiter writes a's serializable state. Observed wrappers are
-// refused: they exist only under tracing, which is not snapshottable.
+// EncodeArbiter writes a's serializable state. An arbiter NewArbiter did
+// not build is refused.
 func EncodeArbiter(w *snapshot.Writer, a Arbiter) error {
 	switch ar := a.(type) {
 	case *fifoArbiter:
